@@ -1,7 +1,7 @@
-// Fault-tolerant serving: deterministic fault injection, self-healing
-// requeue, and checksum-protected TSQR in one program.
+// Fault-tolerant serving: deterministic fault injection and self-healing
+// requeue in one program.
 //
-// Three escalating demonstrations of the fault subsystem (src/fault/):
+// Two escalating demonstrations of the fault subsystem (src/fault/):
 //
 //   1. A scripted kill (fault::Plan::kill) takes a rank down mid-session;
 //      the BatchSolver detects the death (fault::RankDeath), excludes the
@@ -11,10 +11,6 @@
 //   2. With retries disabled (with_max_attempts(1)), the same death
 //      resolves the affected handles with the ORIGINAL fault::RankDeath —
 //      get() rethrows exactly what the machine threw.
-//   3. fault::coded_tsqr survives the death below the serving layer: f
-//      checksums encoded before the reduction tree let the root
-//      reconstruct the dead rank's R-block and finish the factorization —
-//      bitwise identical to core::tsqr when nothing dies.
 //
 // The same snippets appear in docs/SERVING.md ("Fault tolerance") — keep
 // them in sync.
@@ -25,7 +21,6 @@
 
 #include "qr3d.hpp"
 
-namespace backend = qr3d::backend;
 namespace fault = qr3d::fault;
 namespace la = qr3d::la;
 namespace serve = qr3d::serve;
@@ -55,9 +50,11 @@ double error_vs(const la::Matrix& x, const la::Matrix& x_true) {
 int main() {
   // --- 1. Self-healing: a rank dies, the batch still completes. ------------
   serve::BatchSolver srv(serve::ServeOptions().with_ranks(4).with_group_ranks(2));
-  // Script the failure while the machine is idle: kill rank 3 at its 9th
-  // communication op — mid-solve, deterministically, on the thread backend.
-  srv.machine().set_fault_plan(fault::Plan::kill(3, 9));
+  // Script the failure while the machine is idle: kill rank 3 at its 5th
+  // communication op — mid-job, deterministically, on the thread backend.
+  // (A round here holds one 64x12 job per 2-rank group, and rank 3 issues at
+  // most six comm ops per session, so a later step would never fire.)
+  srv.machine().set_fault_plan(fault::Plan::kill(3, 5));
 
   std::vector<Planted> problems;
   std::vector<serve::JobHandle> handles;
@@ -89,38 +86,13 @@ int main() {
   strict.machine().set_fault_plan(std::move(always));
   Planted doomed = planted_problem(48, 8, 900);
   serve::JobHandle h = strict.submit(doomed.A, doomed.b);
+  bool rethrew = false;
   try {
     strict.flush();
   } catch (const fault::RankDeath& rd) {
+    rethrew = true;
     std::printf("with_max_attempts(1): flush rethrew the original death of rank %d\n", rd.rank());
   }
 
-  // --- 3. Coded TSQR: the factorization itself survives the death. ---------
-  const la::index_t m = 64, n = 8;
-  const int P = 8;
-  la::Matrix A = la::random_matrix(m, n, 321);
-  qr3d::sim::Machine machine(P);               // the deterministic oracle
-  machine.set_fault_plan(fault::Plan::kill(2, 2));  // rank 2's upsweep send
-  bool was_recovered = false;
-  la::Matrix R;
-  machine.run([&](backend::Comm& c) {
-    la::Matrix Al = qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::BlockRows);
-    fault::CodedTsqrOptions copts;
-    copts.f = 1;
-    fault::CodedTsqrResult r = fault::coded_tsqr(c, Al.view(), copts);
-    if (c.rank() == 0) {
-      was_recovered = r.recovered;
-      R = std::move(r.qr.R);
-    }
-  });
-  // R^T R must equal A^T A for any valid R-factor of A — checkable with Q
-  // lost along with the dead rank.
-  la::Matrix ata = la::multiply<double>(la::Op::ConjTrans, A.view(), la::Op::NoTrans, A.view());
-  la::Matrix rtr = la::multiply<double>(la::Op::ConjTrans, R.view(), la::Op::NoTrans, R.view());
-  la::add(-1.0, la::ConstMatrixView(ata.view()), rtr.view());
-  const double gram = la::frobenius_norm(rtr.view()) / (1.0 + la::frobenius_norm(ata.view()));
-  std::printf("coded_tsqr with rank 2 dead: recovered=%d, ||R'R - A'A||/||A'A|| = %.2e\n",
-              was_recovered ? 1 : 0, gram);
-
-  return (worst < 1e-8 && recovered_jobs > 0 && was_recovered && gram < 1e-12) ? 0 : 1;
+  return (worst < 1e-8 && recovered_jobs > 0 && rethrew) ? 0 : 1;
 }

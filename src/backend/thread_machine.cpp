@@ -357,8 +357,8 @@ void ThreadMachine::worker_loop(int p) {
       (*body)(comm);
     } catch (const fault::detail::InjectedKill&) {
       // An injected death is not an error of the run: mark the rank dead and
-      // wake every parked receiver so survivors detect it and either recover
-      // (fault::coded_tsqr) or fail with fault::RankDeath.
+      // wake every parked receiver so survivors detect it and either handle
+      // it or fail with fault::RankDeath.
       injector_.mark_dead(p);
       if (obs::TraceSink* ts = trace_.get()) {
         obs::TraceEvent ev;

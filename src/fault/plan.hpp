@@ -20,7 +20,8 @@
 //
 // Grounding: the kill/detect/recover loop follows the coded-computing model
 // of "Coded Computing for Fault-Tolerant Parallel QR Decomposition"
-// (arXiv 2311.11943); see fault/coded_tsqr.hpp for the recovery side.
+// (arXiv 2311.11943); recovery is serve::BatchSolver's requeue on the
+// surviving ranks.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +91,7 @@ struct Plan {
 /// killed, and by backend::Machine::run() when injected deaths left the run
 /// incomplete but no survivor errored.  Derives std::runtime_error so
 /// existing machine-failure handling keeps working; fault-aware layers
-/// (fault::coded_tsqr, serve::BatchSolver) catch the concrete type and
-/// recover instead.
+/// (serve::BatchSolver) catch the concrete type and recover instead.
 class RankDeath : public std::runtime_error {
  public:
   RankDeath(int rank, const std::string& what) : std::runtime_error(what), rank_(rank) {}

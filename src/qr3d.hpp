@@ -31,13 +31,12 @@
 //   qr3d::serve::profile_machine   fit (alpha, beta, gamma) from benchmarks
 //   qr3d::serve::choose_group_ranks  predicted-cost adaptive group sizing
 //
-// Fault tolerance (deterministic injection + coded recovery, see
+// Fault tolerance (deterministic injection + serving-layer recovery, see
 // docs/SERVING.md "Fault tolerance"):
 //
 //   qr3d::fault::Plan        scripted/random kill or stall events, installed
 //                            via backend::Machine::set_fault_plan
 //   qr3d::fault::RankDeath   the error survivors observe for a dead peer
-//   qr3d::fault::coded_tsqr  checksum-protected TSQR surviving <= f deaths
 //
 // Observability (metrics + per-rank comm tracing, see docs/OBSERVABILITY.md):
 //
@@ -76,8 +75,7 @@
 #include "sim/machine.hpp"
 #include "sim/profiles.hpp"
 
-// Fault injection and coded recovery.
-#include "fault/coded_tsqr.hpp"
+// Fault injection.
 #include "fault/plan.hpp"
 
 // Observability: metrics registry and comm-op tracing (docs/OBSERVABILITY.md).

@@ -35,19 +35,9 @@ std::exception_ptr abort_error() {
 /// must not thrash the profiler.
 constexpr std::uint64_t kDriftMinSamples = 8;
 
-/// One serving-span instant on track 1 (the job lane is the sequence
-/// number), timestamped now.
-void trace_instant(const std::shared_ptr<obs::TraceSink>& tr, const char* name,
-                   std::uint64_t seq, double t) {
-  obs::TraceEvent ev;
-  ev.kind = obs::TraceEvent::Kind::Instant;
-  ev.track = 1;
-  ev.rank = static_cast<int>(seq);
-  ev.id = seq;
-  ev.name = name;
-  ev.t0 = ev.t1 = t;
-  tr->record(std::move(ev));
-}
+/// The serving trace's lane for per-round events (sessions, timeouts,
+/// re-profiles); a job's lane is its sequence number.
+constexpr int kDispatcherLane = -1;
 
 }  // namespace
 
@@ -230,6 +220,59 @@ GroupChoice choose_group_ranks(la::index_t m, la::index_t n, int jobs, int P,
 }
 
 // ---------------------------------------------------------------------------
+// Failure classification
+// ---------------------------------------------------------------------------
+
+RoundVerdict classify(const SessionOutcome& outcome, const std::vector<int>& attempts,
+                      int max_attempts, bool aborting) {
+  QR3D_ASSERT(attempts.size() == outcome.unfinished.size(),
+              "classify: need one attempt count per unfinished job");
+  RoundVerdict verdict;
+  verdict.error = outcome.error;
+  bool rank_death = !outcome.deaths.empty();
+  if (outcome.error) {
+    try {
+      std::rethrow_exception(outcome.error);
+    } catch (const fault::RankDeath&) {
+      rank_death = true;
+    } catch (...) {
+    }
+  } else if (!outcome.unfinished.empty() && !outcome.timed_out) {
+    QR3D_ASSERT(rank_death, "BatchSolver: machine session ended cleanly with an unfinished job");
+    // Ranks died but no survivor tripped over them (they held no job the
+    // survivors needed): the unfinished jobs were simply lost with their
+    // group — make up the death error the survivors never saw.
+    const int dead = outcome.deaths.front();
+    verdict.error = std::make_exception_ptr(fault::RankDeath(
+        dead, "qr3d::serve: rank " + std::to_string(dead) + " died; its group's jobs did not finish"));
+  }
+  const bool recoverable = rank_death || outcome.timed_out;
+  if (outcome.timed_out) {
+    verdict.cause = RetryCause::Timeout;
+    const int suspect = outcome.stalls.empty() ? -1 : outcome.stalls.front();
+    verdict.error = std::make_exception_ptr(health::SessionTimeout(
+        outcome.deadline_seconds, suspect,
+        "qr3d::serve: session " + std::to_string(outcome.round) + " exceeded its deadline of " +
+            std::to_string(outcome.deadline_seconds) +
+            " s (fail-slow watchdog; see ServeOptions::with_session_timeout_factor)"));
+  }
+  for (const int a : attempts) {
+    if (!recoverable) {
+      verdict.jobs.push_back(Disposition::Resolve);
+    } else if (aborting) {
+      // abort() has drained the queue already: a requeue landing now would
+      // strand the job forever (nothing dispatches after an abort).
+      verdict.jobs.push_back(Disposition::Abort);
+    } else if (a >= max_attempts) {
+      verdict.jobs.push_back(Disposition::Exhaust);
+    } else {
+      verdict.jobs.push_back(Disposition::Requeue);
+    }
+  }
+  return verdict;
+}
+
+// ---------------------------------------------------------------------------
 // JobHandle
 // ---------------------------------------------------------------------------
 
@@ -241,7 +284,7 @@ bool JobHandle::ready() const {
 void JobHandle::wait() const {
   QR3D_CHECK(valid(), "JobHandle: default-constructed handle");
   if (job_->done.load(std::memory_order_acquire)) return;
-  owner_->wait_for(job_);
+  owner_->await(job_, std::nullopt, nullptr);
 }
 
 const la::Matrix& JobHandle::get() const {
@@ -311,12 +354,10 @@ BatchSolver::BatchSolver(ServeOptions opts)
     machine_ = make_machine(opts_.qr(), opts_.ranks(), profile_->fitted);
   }
   if (opts_.trace()) machine_->set_trace_sink(opts_.trace());
-  if (opts_.async()) {
-    executor_ = std::thread([this]() {
-      executor_loop();
-      executor_exited_.store(true, std::memory_order_release);
-    });
-  }
+  executor_ = std::thread([this]() {
+    executor_loop();
+    executor_exited_.store(true, std::memory_order_release);
+  });
 }
 
 BatchSolver::~BatchSolver() { shutdown(); }
@@ -364,22 +405,21 @@ JobHandle BatchSolver::submit(la::Matrix A, la::Matrix b, const SubmitOptions& s
       sched_.push(job);
     }
   }
-  if (const auto& tr = opts_.trace()) {
-    trace_instant(tr, rejected ? "admission_reject" : "submit", job->seq,
-                  obs::trace_seconds(job->submitted_at));
-  }
+  trace(rejected ? "admission_reject" : "submit", static_cast<int>(job->seq), job->seq,
+        job->submitted_at);
   if (rejected) {
     resolve_job(job, std::make_exception_ptr(
                          AdmissionError(depth, opts_.max_queue_depth(), retry_after)));
-    return JobHandle(this, std::move(job));
+  } else {
+    queue_cv_.notify_one();
   }
-  if (opts_.async()) queue_cv_.notify_one();
   return JobHandle(this, std::move(job));
 }
 
 void BatchSolver::resolve_job(const std::shared_ptr<detail::Job>& job, std::exception_ptr error) {
   if (error) job->error = error;
-  const double latency = seconds_since(job->submitted_at);
+  const auto now = Clock::now();
+  const double latency = std::chrono::duration<double>(now - job->submitted_at).count();
   job->stats.latency_seconds = latency;
   if (job->dispatched) {
     // queue_seconds was stamped at the first machine dispatch; the rest of
@@ -390,13 +430,10 @@ void BatchSolver::resolve_job(const std::shared_ptr<detail::Job>& job, std::exce
     // abort): the whole latency was spent queued.
     job->stats.queue_seconds = latency;
   }
-  if (job->has_deadline && Clock::now() > job->deadline) job->stats.deadline_missed = true;
+  if (job->has_deadline && now > job->deadline) job->stats.deadline_missed = true;
   job->done.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // A popped-but-unresolved job lives in in_flight_ so flush() barriers
-    // can see it; resolution retires it.
-    in_flight_.erase(std::remove(in_flight_.begin(), in_flight_.end(), job), in_flight_.end());
     if (job->error) {
       m_.failed->inc();
     } else {
@@ -418,23 +455,13 @@ void BatchSolver::resolve_job(const std::shared_ptr<detail::Job>& job, std::exce
     }
   }
   done_cv_.notify_all();
-  if (const auto& tr = opts_.trace()) {
-    // The job's terminal span: exec (dispatch -> resolution) once it entered
-    // the machine, queued (submit -> resolution) when it never did.
-    obs::TraceEvent ev;
-    ev.kind = obs::TraceEvent::Kind::Span;
-    ev.track = 1;
-    ev.rank = static_cast<int>(job->seq);
-    ev.id = job->seq;
-    if (job->dispatched) {
-      ev.name = job->error ? "exec (failed)" : "exec";
-      ev.t0 = obs::trace_seconds(job->dispatched_at);
-    } else {
-      ev.name = job->error ? "queued (failed)" : "queued";
-      ev.t0 = obs::trace_seconds(job->submitted_at);
-    }
-    ev.t1 = obs::trace_now();
-    tr->record(std::move(ev));
+  // The job's terminal span: exec (dispatch -> resolution) once it entered
+  // the machine, queued (submit -> resolution) when it never did.
+  const int lane = static_cast<int>(job->seq);
+  if (job->dispatched) {
+    trace(job->error ? "exec (failed)" : "exec", lane, job->seq, job->dispatched_at, now);
+  } else {
+    trace(job->error ? "queued (failed)" : "queued", lane, job->seq, job->submitted_at, now);
   }
 }
 
@@ -454,22 +481,17 @@ bool BatchSolver::validate_job(const std::shared_ptr<detail::Job>& job) {
 }
 
 void BatchSolver::maybe_reprofile() {
-  const bool periodic = opts_.reprofile_every() > 0;
-  const bool on_drift = opts_.reprofile_on_drift() > 0.0;
-  if (!periodic && !on_drift) return;
+  const double f = opts_.reprofile_on_drift();
+  if (f <= 0.0) return;
   {
+    // The drift *signal*: the median measured/predicted ratio of jobs
+    // completed since the last profile.  Only a sustained departure from
+    // [1/f, f] re-fits — p50, not max, so one noisy job cannot thrash the
+    // profiler.
     std::lock_guard<std::mutex> lock(mu_);
-    bool due = periodic && dispatches_since_profile_ >= opts_.reprofile_every();
-    if (!due && on_drift && m_.drift_since_profile->count() >= kDriftMinSamples) {
-      // The drift *signal*: the median measured/predicted ratio of jobs
-      // completed since the last profile.  Only a sustained departure from
-      // [1/factor, factor] re-fits — p50, not max, so one noisy job cannot
-      // thrash the profiler.
-      const double med = m_.drift_since_profile->quantile(0.5);
-      const double f = opts_.reprofile_on_drift();
-      due = med > f || med < 1.0 / f;
-    }
-    if (!due) return;
+    if (m_.drift_since_profile->count() < kDriftMinSamples) return;
+    const double med = m_.drift_since_profile->quantile(0.5);
+    if (med <= f && med >= 1.0 / f) return;
   }
   try {
     MachineProfile fresh = profile_machine(*machine_, opts_.profile_options());
@@ -481,24 +503,15 @@ void BatchSolver::maybe_reprofile() {
     // New parameters mean new plan keys: clear the sized-shape set so every
     // shape re-sizes and re-tunes against the fresh fit (counted as misses).
     sized_shapes_.clear();
-    dispatches_since_profile_ = 0;
     // The drift trigger compares against the *new* fit from here on.
     m_.drift_since_profile->reset();
     m_.reprofiles->inc();
   } catch (...) {
     // Profiling interrupted (e.g. an abort() racing the micro-benchmarks):
-    // keep the previous profile and machine; the next dispatch retries.
+    // keep the previous profile and machine; the next drain retries.
     return;
   }
-  if (const auto& tr = opts_.trace()) {
-    obs::TraceEvent ev;
-    ev.kind = obs::TraceEvent::Kind::Instant;
-    ev.track = 1;
-    ev.rank = -1;  // the dispatcher lane, same as session spans
-    ev.name = "reprofile";
-    ev.t0 = ev.t1 = obs::trace_now();
-    tr->record(std::move(ev));
-  }
+  trace("reprofile", kDispatcherLane, 0, Clock::now());
 }
 
 std::vector<int> BatchSolver::usable_ranks_locked() const {
@@ -589,39 +602,36 @@ void BatchSolver::run_session(int g, const std::vector<std::shared_ptr<detail::J
   });
 }
 
-bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool include_delayed) {
+BatchSolver::RoundPlan BatchSolver::plan_round(bool include_delayed) {
+  RoundPlan round;
   // --- Pop the best-ranked READY job (the scheduling decision) -------------
   std::shared_ptr<detail::Job> top;
   std::size_t shape_hint = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (aborting_) return false;  // abort() drains and resolves the queue
-    top = sched_.pop(Clock::now(), include_delayed);
-    if (!top) return false;
-    // Popped jobs move to in_flight_ under the SAME lock: a flush barrier
-    // snapshot (queue + in_flight_) must never catch a job in neither.
-    in_flight_.push_back(top);
-    // Sizing hint: how many same-shape jobs the batch could pipeline.
-    shape_hint = sched_.count_shape(top->A.rows(), top->A.cols()) + 1;
-  }
-  if (!validate_job(top)) return true;  // resolved (and retired) the round
-
-  const la::index_t m = top->A.rows(), n = top->A.cols();
-  const sim::CostParams mp = machine_->params();
-  const backend::Kind kind = machine_->kind();
-  const int P = opts_.ranks();
-  const core::Accuracy acc = top->accuracy;
   // Mixed-precision discount for fast-contract plans: how much cheaper a
   // float flop is than a double one on THIS machine (measured gamma_float /
   // gamma; 1 when unprofiled or float is no faster).
   double float_scale = 1.0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (aborting_) return round;  // abort() drains and resolves the queue
+    top = sched_.pop(Clock::now(), include_delayed);
+    if (!top) return round;
+    // Popped jobs move to in_flight_ under the SAME lock: a flush barrier
+    // snapshot (queue + in_flight_) must never catch a job in neither.
+    in_flight_.push_back(top);
+    // Sizing hint: how many same-shape jobs the batch could pipeline.
+    shape_hint = sched_.count_shape(top->A.rows(), top->A.cols()) + 1;
     if (profile_ && profile_->gamma_float > 0.0 && profile_->fitted.gamma > 0.0)
       float_scale = std::min(1.0, profile_->gamma_float / profile_->fitted.gamma);
   }
+  if (!validate_job(top)) return round;
 
   // --- Size the group and resolve the plan for the popped job's shape -----
+  const la::index_t m = top->A.rows(), n = top->A.cols();
+  const sim::CostParams mp = machine_->params();
+  const backend::Kind kind = machine_->kind();
+  const int P = opts_.ranks();
+  const core::Accuracy acc = top->accuracy;
   int g = opts_.group_ranks();
   Plan plan;
   try {
@@ -637,7 +647,7 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
     // Sizing/tuning failed for this shape (a degenerate fitted profile,
     // say): isolate the failure to this job, keep serving the queue.
     resolve_job(top, std::current_exception());
-    return true;
+    return round;
   }
 
   // --- Fill the idle groups with same-shape riders -------------------------
@@ -645,47 +655,41 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
   // survivors and the round carries one job per group.  Riders share the
   // popped job's plan, so they pipeline for free whatever their class —
   // preemption granularity stays one round either way.
-  int ga = 1;
-  int groups = 1;
   std::vector<std::shared_ptr<detail::Job>> riders;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const int alive = std::max(1, static_cast<int>(usable_ranks_locked().size()));
-    ga = std::min(g, alive);
-    groups = std::max(1, alive / ga);
-    riders = sched_.pop_same_shape(m, n, static_cast<std::size_t>(groups - 1), Clock::now(),
-                                   include_delayed);
+    round.group_ranks = std::min(g, alive);
+    round.groups = std::max(1, alive / round.group_ranks);
+    riders = sched_.pop_same_shape(m, n, static_cast<std::size_t>(round.groups - 1),
+                                   Clock::now(), include_delayed);
     for (auto& r : riders) in_flight_.push_back(r);
   }
-  std::vector<std::shared_ptr<detail::Job>> round;
-  round.push_back(top);
+  std::vector<std::shared_ptr<detail::Job>> jobs{top};
   for (auto& r : riders) {
-    if (validate_job(r)) round.push_back(r);  // invalid riders resolve here
+    if (validate_job(r)) jobs.push_back(r);  // invalid riders resolve here
   }
 
   // Riders keep their own accuracy contract: one whose contract differs
   // from the popped job's resolves its own plan (cached — same shape and
   // group size, a different accuracy key).  A resolution failure downgrades
   // the rider to the popped job's Householder fields instead of failing it.
-  std::vector<Plan> round_plans(round.size(), plan);
-  for (std::size_t j = 1; j < round.size(); ++j) {
-    if (round[j]->accuracy == acc) continue;
+  std::vector<Plan> job_plans(jobs.size(), plan);
+  for (std::size_t j = 1; j < jobs.size(); ++j) {
+    if (jobs[j]->accuracy == acc) continue;
     try {
-      round_plans[j] = resolve_shape_plan(m, n, g, opts_.qr(), *cache_, kind, mp,
-                                          round[j]->accuracy, float_scale);
+      job_plans[j] = resolve_shape_plan(m, n, g, opts_.qr(), *cache_, kind, mp,
+                                        jobs[j]->accuracy, float_scale);
     } catch (...) {
-      round_plans[j].algorithm = PlanAlgorithm::Householder;
-      round_plans[j].use_float = false;
-      round_plans[j].max_condition = 0.0;
+      job_plans[j].algorithm = PlanAlgorithm::Householder;
+      job_plans[j].use_float = false;
+      job_plans[j].max_condition = 0.0;
     }
   }
 
   // --- Accounting (before the run: resolution implies visibility) ---------
-  const double predicted_seconds = plan.predicted.time(mp);
-  bool abort_now = false;
-  bool first_sizing = false;
-  std::uint64_t round_no = 0;
-  double drift_scale = 1.0;
+  round.job_seconds = plan.predicted.time(mp);
+  bool first_sizing = false, abort_now = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (aborting_) {
@@ -696,9 +700,9 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
       // observed drift p95 (how much slower than predicted real jobs run, at
       // the tail) so the deadline scales with the model's demonstrated error
       // bars instead of trusting the raw prediction.
-      last_predicted_job_seconds_ = predicted_seconds;
+      last_predicted_job_seconds_ = round.job_seconds;
       if (m_.drift->count() >= kDriftMinSamples)
-        drift_scale = std::max(1.0, m_.drift->quantile(0.95));
+        round.drift_scale = std::max(1.0, m_.drift->quantile(0.95));
       const auto shape = std::make_pair(m, n);
       if (std::find(sized_shapes_.begin(), sized_shapes_.end(), shape) == sized_shapes_.end()) {
         sized_shapes_.push_back(shape);
@@ -707,58 +711,55 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
       // Hit/miss counters are per job on its FIRST dispatch only — a
       // fault-recovery requeue re-enters the round but not the counters.
       std::uint64_t fresh = 0;
-      for (const auto& job : round)
+      for (const auto& job : jobs)
         if (!job->dispatched) ++fresh;
       const std::uint64_t miss = first_sizing ? 1 : 0;
       m_.plan_misses->inc(miss);
       m_.plan_hits->inc(fresh >= miss ? fresh - miss : 0);
       m_.sessions->inc();
-      m_.attempts->inc(round.size());
+      m_.attempts->inc(jobs.size());
       std::uint64_t cq_jobs = 0;
-      for (const auto& jp : round_plans)
+      for (const auto& jp : job_plans)
         if (jp.algorithm == PlanAlgorithm::CholeskyQr2) ++cq_jobs;
       m_.cholesky_jobs->inc(cq_jobs);
-      round_no = m_.sessions->value();
+      round.round = m_.sessions->value();
     }
   }
   if (abort_now) {
-    resolve_unfinished(round, abort_error());
-    return true;
+    resolve_unfinished(jobs, abort_error());
+    return round;
   }
-  for (std::size_t j = 0; j < round.size(); ++j) {
-    auto& job = round[j];
-    job->plan = round_plans[j];
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    auto& job = jobs[j];
+    job->plan = job_plans[j];
     job->group_ranks = g;
     job->stats.group_ranks = g;
     // Stamped every dispatch (the clamped group or a fresh profile can
     // change the prediction between attempts): what the cost model expects
     // this job to take, the denominator of its drift ratio.
-    job->stats.predicted_seconds = round_plans[j].predicted.time(mp);
+    job->stats.predicted_seconds = job_plans[j].predicted.time(mp);
     if (!job->dispatched) {
       job->dispatched = true;
       job->dispatched_at = Clock::now();
       job->stats.queue_seconds = seconds_since(job->submitted_at);
       job->stats.plan_cache_hit = !(first_sizing && j == 0);
-      if (const auto& tr = opts_.trace()) {
-        // Close the job's queued span: submit -> first machine dispatch.
-        obs::TraceEvent ev;
-        ev.kind = obs::TraceEvent::Kind::Span;
-        ev.track = 1;
-        ev.rank = static_cast<int>(job->seq);
-        ev.id = job->seq;
-        ev.name = "queued";
-        ev.t0 = obs::trace_seconds(job->submitted_at);
-        ev.t1 = obs::trace_seconds(job->dispatched_at);
-        tr->record(std::move(ev));
-      }
+      // Close the job's queued span: submit -> first machine dispatch.
+      trace("queued", static_cast<int>(job->seq), job->seq, job->submitted_at,
+            job->dispatched_at);
     }
     ++job->attempts;
     job->stats.attempts = job->attempts;
     job->stats.recovered = job->attempts > 1;
     job->stats.priority = job->priority;
-    job->stats.round = round_no;
+    job->stats.round = round.round;
   }
+  round.jobs = std::move(jobs);
+  return round;
+}
 
+SessionOutcome BatchSolver::run_round(const RoundPlan& round) {
+  SessionOutcome out;
+  out.round = round.round;
   // --- Arm the session deadline (fail-slow watchdog) -----------------------
   // The deadline is what the cost model says this session should take —
   // predicted per-job seconds times the jobs each group runs in series —
@@ -770,127 +771,66 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
   // abort: the executor commits to a session slightly before run() begins,
   // and request_abort() while idle is deliberately dropped — so the
   // watchdog retries until the abort lands or disarm().
-  double deadline_seconds = 0.0;
   bool machine_enforces = false;
   bool watchdog_armed = false;
   if (opts_.session_timeout_factor() > 0.0) {
-    const double jobs_per_group =
-        std::ceil(static_cast<double>(round.size()) / static_cast<double>(groups));
-    deadline_seconds = std::max(opts_.session_timeout_floor(),
-                                predicted_seconds * jobs_per_group * drift_scale *
-                                    opts_.session_timeout_factor());
-    machine_enforces = machine_->set_session_deadline(deadline_seconds);
+    const double jobs_per_group = std::ceil(static_cast<double>(round.jobs.size()) /
+                                            static_cast<double>(round.groups));
+    out.deadline_seconds = std::max(opts_.session_timeout_floor(),
+                                    round.job_seconds * jobs_per_group * round.drift_scale *
+                                        opts_.session_timeout_factor());
+    machine_enforces = machine_->set_session_deadline(out.deadline_seconds);
     if (!machine_enforces) {
-      watchdog_.arm(deadline_seconds, [this]() { return machine_->request_abort(); });
+      watchdog_.arm(out.deadline_seconds, [this]() { return machine_->request_abort(); });
       watchdog_armed = true;
     }
   }
 
   // --- Run exactly this round as one machine session -----------------------
   // A machine-level failure (an in-machine throw aborts every rank of the
-  // session) is recorded in every job the session did not finish — jobs that
-  // completed before the abort keep their solutions — and the machine resets
-  // cleanly for the next round (see ThreadMachine), so the queue keeps
-  // serving.
-  std::exception_ptr session_error;
-  const double session_t0 = opts_.trace() ? obs::trace_now() : 0.0;
+  // session) leaves the jobs the session did not finish unresolved — jobs
+  // that completed before the abort keep their solutions — and the machine
+  // resets cleanly for the next round (see ThreadMachine).
+  const auto t0 = Clock::now();
   try {
-    run_session(ga, round);
+    run_session(round.group_ranks, round.jobs);
   } catch (...) {
-    session_error = std::current_exception();
+    out.error = std::current_exception();
   }
   // Did the deadline fire?  The watchdog knows whether its abort landed
   // (disarm waits out an in-flight callback, so this cannot race the next
-  // round); a self-enforcing backend reports it directly.  Classification
-  // keys on THIS, never on the exception type — the lowest-ranked rethrow
-  // can surface a generic abort error even when the root cause was the
-  // deadline.
-  bool timed_out = false;
-  if (watchdog_armed) timed_out = watchdog_.disarm();
-  if (machine_enforces) timed_out = machine_->last_run_timed_out();
-  if (const auto& tr = opts_.trace()) {
-    // The machine-session span on the dispatcher lane: job exec spans and
-    // the machine's own per-rank op events nest under it in wall time.
-    obs::TraceEvent ev;
-    ev.kind = obs::TraceEvent::Kind::Span;
-    ev.track = 1;
-    ev.rank = -1;  // dispatcher lane
-    ev.id = round_no;
-    ev.peer = ga;
-    ev.words = static_cast<double>(round.size());
-    ev.name = "session";
-    ev.t0 = session_t0;
-    ev.t1 = obs::trace_now();
-    tr->record(std::move(ev));
-    if (timed_out) {
-      obs::TraceEvent ti;
-      ti.kind = obs::TraceEvent::Kind::Instant;
-      ti.track = 1;
-      ti.rank = -1;  // dispatcher lane, next to the session span
-      ti.id = round_no;
-      ti.name = "session_timeout";
-      ti.t0 = ti.t1 = obs::trace_now();
-      tr->record(std::move(ti));
-    }
+  // round); a self-enforcing backend reports it directly.  classify() keys
+  // on THIS, never on the exception type — the lowest-ranked rethrow can
+  // surface a generic abort error even when the root cause was the deadline.
+  if (watchdog_armed) out.timed_out = watchdog_.disarm();
+  if (machine_enforces) out.timed_out = machine_->last_run_timed_out();
+  // The machine-session span on the dispatcher lane: job exec spans and the
+  // machine's own per-rank op events nest under it in wall time.
+  const auto t1 = Clock::now();
+  trace("session", kDispatcherLane, round.round, t0, t1, round.group_ranks,
+        static_cast<double>(round.jobs.size()));
+  if (out.timed_out) trace("session_timeout", kDispatcherLane, round.round, t1);
+  out.deaths = machine_->last_run_deaths();
+  out.stalls = machine_->last_run_stalls();
+  for (const auto& job : round.jobs) {
+    if (!job->done.load(std::memory_order_acquire)) out.unfinished.push_back(job);
   }
-  const std::vector<int> session_deaths = machine_->last_run_deaths();
-  const std::vector<int> session_stalls = machine_->last_run_stalls();
+  return out;
+}
 
-  std::vector<std::shared_ptr<detail::Job>> unfinished;
-  for (auto& job : round) {
-    if (!job->done.load(std::memory_order_acquire)) unfinished.push_back(job);
-  }
-
-  // Self-healing classification: a rank death (fault::RankDeath, or the
-  // machine reporting deaths after a run that otherwise ended cleanly) and a
-  // session timeout (fail-slow, converted to fail-stop above) are both
-  // recoverable by requeueing; anything else is final.
-  bool is_rank_death = !session_deaths.empty();
-  if (session_error) {
-    try {
-      std::rethrow_exception(session_error);
-    } catch (const fault::RankDeath&) {
-      is_rank_death = true;
-    } catch (...) {
-    }
-  } else if (!unfinished.empty() && !timed_out) {
-    QR3D_ASSERT(is_rank_death,
-                "BatchSolver: machine session ended cleanly with an unfinished job");
-    // Ranks died but no survivor tripped over them (they held no job the
-    // survivors needed): the unfinished jobs were simply lost with their
-    // group — synthesize the death error the survivors never saw.
-    session_error = std::make_exception_ptr(fault::RankDeath(
-        session_deaths.front(), "qr3d::serve: rank " + std::to_string(session_deaths.front()) +
-                                    " died; its group's jobs did not finish"));
-  }
-  const bool recoverable = is_rank_death || timed_out;
-  // The error a job of this session keeps as its first-failure cause (and
-  // resolves with when attempts run out).  On a timeout this is normalized
-  // to the typed health::SessionTimeout — the raw session error is whichever
-  // rank's exception won the lowest-rank rethrow (often the generic abort),
-  // useless to a caller deciding whether to resubmit.
-  std::exception_ptr cause_error = session_error;
-  const RetryCause cause = timed_out ? RetryCause::Timeout : RetryCause::RankDeath;
-  if (timed_out) {
-    const int suspect = session_stalls.empty() ? -1 : session_stalls.front();
-    cause_error = std::make_exception_ptr(health::SessionTimeout(
-        deadline_seconds, suspect,
-        "qr3d::serve: session " + std::to_string(round_no) +
-            " exceeded its deadline of " + std::to_string(deadline_seconds) +
-            " s (fail-slow watchdog; see ServeOptions::with_session_timeout_factor)"));
-  }
-
-  std::vector<std::shared_ptr<detail::Job>> exhausted;
-  std::vector<std::shared_ptr<detail::Job>> aborted_jobs;
-  struct Requeued {
-    std::uint64_t seq;
-    double delay;
-  };
-  std::vector<Requeued> requeued;
+void BatchSolver::settle_round(const SessionOutcome& out, bool for_barriers) {
+  std::vector<int> attempts;
+  for (const auto& job : out.unfinished) attempts.push_back(job->attempts);
+  RoundVerdict verdict;
+  // Each unfinished job that fails, and the error it fails with.
+  std::vector<std::pair<std::shared_ptr<detail::Job>, std::exception_ptr>> failed;
+  std::vector<std::uint64_t> requeued;
+  std::exception_ptr session_error;  // the first failure that is not an abort
   {
     std::lock_guard<std::mutex> lock(mu_);
+    verdict = classify(out, attempts, opts_.max_attempts(), aborting_);
     m_.serve_seconds->add(machine_->last_wall_seconds());
-    for (int r : session_deaths) {
+    for (int r : out.deaths) {
       if (std::find(dead_ranks_.begin(), dead_ranks_.end(), r) == dead_ranks_.end())
         dead_ranks_.push_back(r);
     }
@@ -898,75 +838,68 @@ bool BatchSolver::dispatch_round(std::exception_ptr* session_error_out, bool inc
     // stall implicates them (probation starts, or restarts for a repeat
     // offender); a clean session credits every quarantined rank one step and
     // reinstates those that served their probation.
-    if (timed_out) {
+    if (out.timed_out) {
       m_.timeouts->inc();
-      for (int r : session_stalls) {
+      for (int r : out.stalls) {
         if (rank_health_.quarantine(r)) m_.quarantined->inc();
       }
-    } else if (!session_error && session_deaths.empty()) {
-      const std::vector<int> back = rank_health_.record_clean_session();
-      m_.reinstated->inc(back.size());
+    } else if (!out.error && out.deaths.empty()) {
+      m_.reinstated->inc(rank_health_.record_clean_session().size());
     }
     m_.quarantined_now->set(static_cast<double>(rank_health_.quarantined_count()));
-    if (!unfinished.empty() && recoverable) {
-      for (auto& job : unfinished) {
-        if (!job->original_error) job->original_error = cause_error;
-        if (aborting_) {
-          // abort() has drained the queue already: a requeue landing now
-          // would strand the job forever (nothing dispatches after an
-          // abort).  Hand it to the abort path instead.
-          aborted_jobs.push_back(job);
-        } else if (job->attempts >= opts_.max_attempts()) {
-          exhausted.push_back(job);  // resolved below, outside the lock
-        } else {
-          // Requeue on the survivors with the job's original seq, priority
-          // and submit time — recovery does not reset its place in line (and
-          // aging keeps crediting the full wait).  Atomic with the
-          // in_flight_ erase so a flush barrier snapshot never misses the
-          // job; bypasses admission (the job was already admitted).  The
-          // deterministic backoff delays the next attempt: attempt k waits
-          // jittered min(cap, base * 2^(k-1)) seconds keyed on (seed, seq,
-          // attempt), so a fixed seed reproduces the schedule exactly.
-          const double delay = backoff_.delay(job->attempts, job->seq);
-          job->ready_at = delay > 0.0
-                              ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                                   std::chrono::duration<double>(delay))
-                              : Clock::time_point{};
-          job->stats.retries.push_back(RetryRecord{cause, delay});
-          if (delay > 0.0) m_.backoff_delay->record(delay);
-          (cause == RetryCause::Timeout ? m_.requeues_timeout : m_.requeues_rank_death)->inc();
-          in_flight_.erase(std::remove(in_flight_.begin(), in_flight_.end(), job),
-                           in_flight_.end());
-          sched_.push(job);
-          requeued.push_back(Requeued{job->seq, delay});
-        }
+    for (std::size_t i = 0; i < out.unfinished.size(); ++i) {
+      const auto& job = out.unfinished[i];
+      const Disposition d = verdict.jobs[i];
+      // A recoverable failure's error is kept as the job's first-failure
+      // cause: what it resolves with once attempts run out.
+      if (d != Disposition::Resolve && !job->original_error) job->original_error = verdict.error;
+      if (d == Disposition::Resolve) {
+        failed.emplace_back(job, verdict.error);
+        if (!session_error) session_error = verdict.error;
+      } else if (d == Disposition::Exhaust) {
+        // The ORIGINAL cause (fault::RankDeath or health::SessionTimeout —
+        // not a wrapper, not the latest one) lands in the handle.
+        failed.emplace_back(job, job->original_error);
+        if (!session_error) session_error = job->original_error;
+      } else if (d == Disposition::Abort) {
+        failed.emplace_back(job, abort_error());
+      } else {
+        // Requeue on the survivors with the job's original seq, priority
+        // and submit time — recovery does not reset its place in line (and
+        // aging keeps crediting the full wait).  Atomic with the in_flight_
+        // erase so a flush barrier snapshot never misses the job; bypasses
+        // admission (the job was already admitted).  The deterministic
+        // backoff delays the next attempt: attempt k waits jittered
+        // min(cap, base * 2^(k-1)) seconds keyed on (seed, seq, attempt), so
+        // a fixed seed reproduces the schedule exactly.
+        const double delay = backoff_.delay(job->attempts, job->seq);
+        job->ready_at = delay > 0.0
+                            ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                                 std::chrono::duration<double>(delay))
+                            : Clock::time_point{};
+        job->stats.retries.push_back(RetryRecord{verdict.cause, delay});
+        if (delay > 0.0) m_.backoff_delay->record(delay);
+        (verdict.cause == RetryCause::Timeout ? m_.requeues_timeout : m_.requeues_rank_death)
+            ->inc();
+        in_flight_.erase(std::remove(in_flight_.begin(), in_flight_.end(), job), in_flight_.end());
+        sched_.push(job);
+        requeued.push_back(job->seq);
       }
     }
-  }
-  if (const auto& tr = opts_.trace()) {
-    // Fault-recovery edges: one cause-tagged instant per job sent back.
-    const double now = obs::trace_now();
-    const char* name =
-        cause == RetryCause::Timeout ? "requeue (timeout)" : "requeue (rank_death)";
-    for (const auto& rq : requeued) trace_instant(tr, name, rq.seq, now);
-  }
-  resolve_unfinished(aborted_jobs, abort_error());
-  if (!unfinished.empty()) {
-    if (!recoverable) {
-      // Not recoverable by requeueing (an abort, a numerical failure):
-      // store the session error in the handles.
-      resolve_unfinished(unfinished, session_error);
-      if (session_error_out && !*session_error_out) *session_error_out = session_error;
-    } else {
-      // Out of attempts: the ORIGINAL cause (fault::RankDeath or
-      // health::SessionTimeout — not a wrapper, not the latest one) lands in
-      // the handles, and blocking flush() rethrows it.
-      for (auto& job : exhausted) resolve_job(job, job->original_error);
-      if (!exhausted.empty() && session_error_out && !*session_error_out)
-        *session_error_out = exhausted.front()->original_error;
+    // The round's session error goes to the barriers the drain runs for:
+    // blocking flush() rethrows the first one.
+    if (for_barriers && session_error) {
+      for (Barrier* b : barriers_)
+        if (!b->error) b->error = session_error;
     }
   }
-  return true;
+  // Fault-recovery edges: one cause-tagged instant per job sent back.
+  const auto now = Clock::now();
+  for (const std::uint64_t seq : requeued) {
+    trace(verdict.cause == RetryCause::Timeout ? "requeue (timeout)" : "requeue (rank_death)",
+          static_cast<int>(seq), seq, now);
+  }
+  for (const auto& [job, error] : failed) resolve_job(job, error);
 }
 
 void BatchSolver::resolve_unfinished(const std::vector<std::shared_ptr<detail::Job>>& jobs,
@@ -976,47 +909,72 @@ void BatchSolver::resolve_unfinished(const std::vector<std::shared_ptr<detail::J
   }
 }
 
+void BatchSolver::trace(const char* name, int lane, std::uint64_t id, Clock::time_point t0,
+                        std::optional<Clock::time_point> t1, int peer, double words) const {
+  const auto& sink = opts_.trace();
+  if (!sink) return;
+  obs::TraceEvent ev;
+  ev.kind = t1 ? obs::TraceEvent::Kind::Span : obs::TraceEvent::Kind::Instant;
+  ev.track = 1;
+  ev.rank = lane;
+  ev.peer = peer;
+  ev.words = words;
+  ev.id = id;
+  ev.name = name;
+  ev.t0 = obs::trace_seconds(t0);
+  ev.t1 = t1 ? obs::trace_seconds(*t1) : ev.t0;
+  sink->record(std::move(ev));
+}
+
+BatchSolver::Drain BatchSolver::drain_gate_locked() const {
+  if (sched_.empty() || aborting_) return Drain::Closed;
+  if (opts_.async() || stop_) return Drain::Open;
+  for (const Barrier* b : barriers_) {
+    for (const auto& job : b->jobs)
+      if (!job->done.load(std::memory_order_acquire)) return Drain::ForBarriers;
+  }
+  return Drain::Closed;
+}
+
 void BatchSolver::executor_loop() {
   std::unique_lock<std::mutex> lock(mu_);
+  bool draining = false;
   for (;;) {
-    queue_cv_.wait(lock, [&]() { return stop_ || !sched_.empty(); });
-    if (sched_.empty()) {
-      if (stop_) return;
+    const Drain gate = drain_gate_locked();
+    if (gate == Drain::Closed) {
+      draining = false;
+      if (stop_) return;  // shutdown drained the queue, or abort() owns it
+      queue_cv_.wait(lock);
       continue;
     }
     // Backoff gate: when every queued job is still waiting out its retry
-    // delay, sleep until the earliest ready_at (or a new submission / stop)
-    // instead of busy-popping an all-delayed queue.  The shutdown drain
-    // ignores delays — a backing-off job must still resolve before the
-    // executor dies.
+    // delay, sleep until the earliest ready_at (or a submission, a barrier,
+    // stop) instead of busy-popping an all-delayed queue — the same drain
+    // continues.  The shutdown drain ignores delays: a backing-off job must
+    // still resolve before the executor dies.
     if (!stop_ && !sched_.has_ready(Clock::now())) {
-      const auto next = sched_.next_ready_at();
-      if (next) {
-        queue_cv_.wait_until(lock, *next);
-        continue;
-      }
+      queue_cv_.wait_until(lock, *sched_.next_ready_at());
+      continue;
     }
     const bool include_delayed = stop_;
+    const bool starts_drain = !std::exchange(draining, true);
     lock.unlock();
-    maybe_reprofile();
-    {
-      // One drain cycle (idle -> busy transition) counts as one flush,
-      // counted before any job of the cycle can resolve so a reader that
-      // observed a resolved handle also observes its dispatch.
-      std::lock_guard<std::mutex> count_lock(mu_);
+    if (starts_drain) {
+      // A drain (idle -> busy) re-profiles first when drift calls for it,
+      // and counts as one flush before any of its jobs can resolve, so a
+      // reader that observed a resolved handle also observes its dispatch.
+      maybe_reprofile();
+      std::lock_guard<std::mutex> count(mu_);
       m_.flushes->inc();
-      ++dispatches_since_profile_;
     }
-    // Round at a time until the queue drains: every iteration re-pops, so a
-    // high-priority submission landing mid-cycle runs next round — that is
-    // the preemption granularity.  Errors are resolved into the affected
-    // handles by dispatch_round; the executor has no caller to rethrow to.
-    // The catch is defensive: the executor must survive anything, so an
-    // unexpected throw resolves the in-flight jobs instead of terminating
-    // the process.
+    // One round per iteration: every iteration re-pops, so a high-priority
+    // submission landing mid-drain runs next round — that is the
+    // preemption granularity.  The catch is defensive: the executor must
+    // survive anything, so an unexpected throw resolves the round's jobs
+    // instead of terminating the process.
     try {
-      while (dispatch_round(nullptr, include_delayed)) {
-      }
+      const RoundPlan round = plan_round(include_delayed);
+      if (!round.jobs.empty()) settle_round(run_round(round), gate == Drain::ForBarriers);
     } catch (...) {
       std::vector<std::shared_ptr<detail::Job>> stranded;
       {
@@ -1026,132 +984,70 @@ void BatchSolver::executor_loop() {
       resolve_unfinished(stranded, std::current_exception());
     }
     lock.lock();
+    // Retire the round: its jobs have resolved or gone back to the queue,
+    // so barriers waiting on them may return.
+    in_flight_.clear();
+    done_cv_.notify_all();
   }
 }
 
-bool BatchSolver::flush_async(std::optional<Clock::time_point> deadline) {
-  // Per-job barrier: snapshot every job submitted before this call that
-  // has not resolved yet (still queued, or popped into a round), then wait
-  // for exactly those.  A count-based wait ("completed + failed >=
-  // submitted-at-entry") is WRONG under priority scheduling: jobs no
-  // longer resolve in submission order, so later high-priority completions
-  // can satisfy the count while an earlier low-priority job still waits.
+bool BatchSolver::await(const std::shared_ptr<detail::Job>& job,
+                        std::optional<Clock::time_point> deadline, std::exception_ptr* error) {
   std::unique_lock<std::mutex> lock(mu_);
-  std::vector<std::shared_ptr<detail::Job>> pending = sched_.snapshot();
-  pending.insert(pending.end(), in_flight_.begin(), in_flight_.end());
-  const auto all_done = [&]() {
-    for (const auto& job : pending) {
-      if (!job->done.load(std::memory_order_acquire)) return false;
-    }
-    return true;
+  // A per-job barrier, never a count ("completed + failed >= submitted at
+  // entry"): under priority scheduling jobs resolve out of submission
+  // order, so later high-priority completions could satisfy a count while
+  // an earlier low-priority job still waits.
+  Barrier barrier;
+  if (job) {
+    barrier.jobs.push_back(job);
+  } else {
+    barrier.jobs = sched_.snapshot();
+    barrier.jobs.insert(barrier.jobs.end(), in_flight_.begin(), in_flight_.end());
+  }
+  barriers_.push_back(&barrier);
+  queue_cv_.notify_one();  // the drain gate may have opened
+  // Settled: resolved AND retired with its round, so the round's accounting
+  // is visible (and, in blocking mode, the machine idle) on return.
+  const auto settled = [&]() {
+    return std::all_of(barrier.jobs.begin(), barrier.jobs.end(), [&](const auto& j) {
+      return j->done.load(std::memory_order_acquire) &&
+             std::find(in_flight_.begin(), in_flight_.end(), j) == in_flight_.end();
+    });
   };
-  if (deadline) return done_cv_.wait_until(lock, *deadline, all_done);
-  done_cv_.wait(lock, all_done);
-  return true;
-}
-
-bool BatchSolver::flush_blocking(std::optional<Clock::time_point> deadline,
-                                 bool include_delayed, std::exception_ptr* first_error) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (sched_.empty()) return true;  // nothing pending: not a dispatch
+  bool completed = true;
+  if (deadline) {
+    completed = done_cv_.wait_until(lock, *deadline, settled);
+  } else {
+    done_cv_.wait(lock, settled);
   }
-  maybe_reprofile();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    m_.flushes->inc();
-    ++dispatches_since_profile_;
-  }
-  // Round at a time until the queue drains, sleeping out retry-backoff
-  // delays in between.  The deadline is only checked BETWEEN rounds: an
-  // individual session is never cut short by the flush budget (session
-  // deadlines do that), so a bounded flush can overrun by one session.
-  for (;;) {
-    if (deadline && Clock::now() >= *deadline) break;
-    if (dispatch_round(first_error, include_delayed)) continue;
-    std::optional<Clock::time_point> next;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (sched_.empty() || aborting_) break;
-      next = sched_.next_ready_at();
-    }
-    if (!next) break;  // raced with a concurrent drain
-    auto wake = *next;
-    if (deadline && *deadline < wake) {
-      // Sleeping out the backoff would blow the budget: stop at the budget
-      // so the caller gets its answer on time.
-      wake = *deadline;
-    }
-    std::this_thread::sleep_until(wake);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return sched_.empty();
+  barriers_.erase(std::find(barriers_.begin(), barriers_.end(), &barrier));
+  queue_cv_.notify_one();  // ... and may have closed
+  if (error) *error = barrier.error;
+  return completed;
 }
 
 void BatchSolver::flush() {
-  if (opts_.async()) {
-    flush_async(std::nullopt);
-    return;
-  }
-  std::exception_ptr first_error;
-  flush_blocking(std::nullopt, false, &first_error);
-  if (first_error) std::rethrow_exception(first_error);
+  std::exception_ptr error;
+  await(nullptr, std::nullopt, &error);
+  if (error) std::rethrow_exception(error);
 }
 
 bool BatchSolver::flush_for(double timeout_seconds) {
   QR3D_CHECK(timeout_seconds >= 0.0, "BatchSolver::flush_for: timeout must be >= 0");
   const auto deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                            std::chrono::duration<double>(timeout_seconds));
-  if (opts_.async()) return flush_async(deadline);
-  // Bounded blocking flush: session errors stay in the affected handles
-  // (unlike flush(), which rethrows) — the return value is the contract.
-  return flush_blocking(deadline, false, nullptr);
-}
-
-void BatchSolver::wait_for(const std::shared_ptr<detail::Job>& job) {
-  if (opts_.async()) {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&]() { return job->done.load(std::memory_order_acquire); });
-    return;
-  }
-  flush();
-  QR3D_ASSERT(job->done.load(std::memory_order_acquire),
-              "BatchSolver: job still pending after flush");
+  return await(nullptr, deadline, nullptr);
 }
 
 void BatchSolver::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_ && !opts_.async()) return;
-    stop_ = true;  // closes submissions; the async executor drains, then exits
+    stop_ = true;  // closes submissions; the executor drains, then exits
   }
-  if (opts_.async()) {
-    queue_cv_.notify_all();
-    std::lock_guard<std::mutex> join_lock(join_mu_);
-    if (executor_.joinable()) executor_.join();
-    return;
-  }
-  // Blocking mode: drain the queue inline, ignoring retry-backoff delays
-  // (a backing-off job must resolve before the solver dies, not after its
-  // jittered wait).  Machine-level session errors are already recorded in
-  // the affected handles, and shutdown (called from the destructor) must
-  // never throw — if an *unexpected* throw cut the drain short, whatever it
-  // stranded is resolved with that error so no handle is left pending.
-  std::exception_ptr err;
-  try {
-    flush_blocking(std::nullopt, true, nullptr);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  if (err) {
-    std::vector<std::shared_ptr<detail::Job>> stranded;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stranded = sched_.drain();
-      stranded.insert(stranded.end(), in_flight_.begin(), in_flight_.end());
-    }
-    resolve_unfinished(stranded, err);
-  }
+  queue_cv_.notify_one();
+  std::lock_guard<std::mutex> join_lock(join_mu_);
+  if (executor_.joinable()) executor_.join();
 }
 
 void BatchSolver::abort() {
@@ -1164,34 +1060,31 @@ void BatchSolver::abort() {
     // observes stop_).
     machine_->request_abort();
   }
-  queue_cv_.notify_all();
+  queue_cv_.notify_one();
   std::vector<std::shared_ptr<detail::Job>> queued;
   {
     std::lock_guard<std::mutex> lock(mu_);
     queued = sched_.drain();
   }
   resolve_unfinished(queued, abort_error());
-  if (opts_.async()) {
-    // One request is not enough in async mode: the executor commits to a
-    // session (sessions/attempts counters) slightly before the machine run
-    // begins, and request_abort() on a machine with no active run is
-    // deliberately dropped — a single request landing in that window would
-    // leave a stalled session un-aborted and the join below hung forever.
-    // Retry until a live run takes the abort or the executor exits on its
-    // own; aborting_ keeps new sessions from starting in between.
-    for (;;) {
-      if (executor_exited_.load(std::memory_order_acquire)) break;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (machine_->request_abort()) break;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+  // One request is not enough: the executor commits to a session
+  // (sessions/attempts counters) slightly before the machine run begins,
+  // and request_abort() on a machine with no active run is deliberately
+  // dropped — a single request landing in that window would leave a stalled
+  // session un-aborted and the join below hung forever.  Retry until a live
+  // run takes the abort or the executor exits on its own; aborting_ keeps
+  // new sessions from starting in between.
+  for (;;) {
+    if (executor_exited_.load(std::memory_order_acquire)) break;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (machine_->request_abort()) break;
     }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   std::lock_guard<std::mutex> join_lock(join_mu_);
   if (executor_.joinable()) executor_.join();
 }
-
 std::vector<la::Matrix> BatchSolver::solve_all(
     std::vector<std::pair<la::Matrix, la::Matrix>> problems) {
   std::vector<JobHandle> handles;

@@ -31,18 +31,22 @@
 //   5. measured profile — with_profile() runs serve::profile_machine first
 //      and feeds the fitted (alpha, beta, gamma) to machine construction, so
 //      the tuner optimizes for the machine it actually runs on instead of a
-//      declared profile; with_reprofile_every() repeats the measurement
-//      periodically so the fit tracks thermal/contention drift.
+//      declared profile; with_reprofile_on_drift() repeats the measurement
+//      when the cost model stops matching the measured job times, so the
+//      fit tracks thermal/contention drift.
 //
-// Asynchrony: by default (blocking mode) nothing executes until flush() —
-// submission is cheap, execution is explicit, and every counter is exactly
-// reproducible.  with_async() starts an executor thread that owns the
-// machine and drains a concurrent queue instead: submit() returns
-// immediately, execution overlaps further submission, flush() is a barrier
-// ("everything submitted before this call has resolved"), and JobHandle is
-// a real future (ready / wait / get).  Clean shutdown is shutdown() or the
-// destructor (both drain); abort() fails queued jobs and interrupts the
-// in-flight machine session via backend::Machine::request_abort.
+// Asynchrony: one executor thread owns the machine and is the only code
+// that dispatches rounds, in both modes.  with_async() lets it drain the
+// queue as soon as work arrives: submit() returns immediately and execution
+// overlaps further submission.  By default (blocking mode) it starts a drain
+// only while a barrier waits — flush(), flush_for(), a handle wait() or
+// shutdown() — so nothing executes before a barrier and every counter is
+// exactly reproducible.  Either way flush() is a barrier ("everything
+// submitted before this call has resolved"), JobHandle is a real future
+// (ready / wait / get), and a bounded flush_for() returns at its budget even
+// while a session stalls.  Clean shutdown is shutdown() or the destructor
+// (both drain); abort() fails queued jobs and interrupts the in-flight
+// machine session via backend::Machine::request_abort.
 //
 // Traffic shaping (serve/scheduler.hpp has the policy): jobs carry a
 // Priority and an optional deadline (submit with SubmitOptions), the queue
@@ -153,7 +157,7 @@ class ServeOptions {
     profile_ = on;
     return *this;
   }
-  /// Micro-benchmark sizes for profiling (and periodic re-profiling).
+  /// Micro-benchmark sizes for profiling (and drift re-profiling).
   ServeOptions& with_profile_options(ProfileOptions po) {
     profile_options_ = po;
     return *this;
@@ -169,30 +173,21 @@ class ServeOptions {
   /// model-predicted costs (see choose_group_ranks); a nonzero value pins
   /// one size for every job.
   ServeOptions& with_group_ranks(int g);
-  /// Run an executor thread that owns the machine and drains submissions as
-  /// they arrive: submit() returns immediately, execution overlaps further
-  /// submission, and JobHandle behaves as a real future.  Off by default
-  /// (execution happens inside flush(), deterministically).
+  /// Let the executor thread drain submissions as they arrive: submit()
+  /// returns immediately and execution overlaps further submission.  Off by
+  /// default: the executor then runs only while a barrier (flush, flush_for,
+  /// a handle wait, shutdown) waits, deterministically.
   ServeOptions& with_async(bool on = true) {
     async_ = on;
     return *this;
   }
-  /// Re-profile the machine after every `dispatches` batch dispatches and
-  /// re-tune on the fresh fit, so the profile tracks thermal/contention
-  /// drift.  0 (default) never re-profiles.  A nonzero value implies
-  /// with_profile().
-  ServeOptions& with_reprofile_every(std::uint64_t dispatches) {
-    reprofile_every_ = dispatches;
-    return *this;
-  }
-  /// Drift-triggered re-profiling: re-profile when the median measured/
-  /// predicted time ratio of jobs completed since the last profile leaves
-  /// [1/factor, factor] (with at least a handful of samples — the fixed
-  /// kDriftMinSamples floor on BatchSolver).  This gives with_reprofile_every
-  /// a *signal* instead of a fixed period: the machine re-fits when the cost
-  /// model demonstrably stopped matching reality, and not before.  Composes
-  /// with with_reprofile_every (either trigger fires); implies
-  /// with_profile().  Must be > 1; 0 (default) disables.
+  /// Drift-triggered re-profiling: before a drain, re-profile and re-tune
+  /// when the median measured/predicted time ratio of jobs completed since
+  /// the last profile leaves [1/factor, factor] (with at least a handful of
+  /// samples — the fixed kDriftMinSamples floor on BatchSolver).  The
+  /// machine re-fits when the cost model demonstrably stopped matching
+  /// reality, and not before.  Implies with_profile().  Must be > 1; 0
+  /// (default) disables.
   ServeOptions& with_reprofile_on_drift(double factor);
   /// Observability: install `sink` (see obs/trace.hpp) on the owned machine
   /// and the serving layer.  The machine emits per-rank comm-op events
@@ -262,10 +257,8 @@ class ServeOptions {
   /// QR options applied to every job.
   const QrOptions& qr() const { return qr_; }
   /// Whether the machine is profiled at construction (explicitly requested,
-  /// or implied by a re-profile period or drift trigger).
-  bool profile() const {
-    return profile_ || reprofile_every_ > 0 || reprofile_on_drift_ > 0.0;
-  }
+  /// or implied by the drift trigger).
+  bool profile() const { return profile_ || reprofile_on_drift_ > 0.0; }
   /// Micro-benchmark sizes used when profiling.
   const ProfileOptions& profile_options() const { return profile_options_; }
   /// Declared machine parameters.
@@ -274,8 +267,6 @@ class ServeOptions {
   int group_ranks() const { return group_ranks_; }
   /// Whether the executor thread drains submissions asynchronously.
   bool async() const { return async_; }
-  /// Batch dispatches between re-profiles (0 = never).
-  std::uint64_t reprofile_every() const { return reprofile_every_; }
   /// Drift factor that triggers a re-profile (0 = disabled).
   double reprofile_on_drift() const { return reprofile_on_drift_; }
   /// The installed trace sink (null = tracing off).
@@ -309,7 +300,6 @@ class ServeOptions {
   sim::CostParams params_;
   int group_ranks_ = 0;
   bool async_ = false;
-  std::uint64_t reprofile_every_ = 0;
   double reprofile_on_drift_ = 0.0;
   std::shared_ptr<obs::TraceSink> trace_;
   int max_attempts_ = 3;
@@ -328,7 +318,7 @@ class BatchSolver;
 
 /// Future to a submitted job.  Copyable; all copies observe the same job.
 /// ready() is non-blocking; wait() blocks until the job resolves (in
-/// blocking mode it drives the owning BatchSolver's flush()); get() waits
+/// blocking mode the wait is what lets the executor run); get() waits
 /// and returns the replicated n x k solution or rethrows the job's error
 /// (std::invalid_argument for jobs rejected at validation, the session's
 /// error for jobs lost to a machine-level abort).
@@ -345,15 +335,12 @@ class JobHandle {
   bool valid() const { return job_ != nullptr; }
   /// Non-blocking: has the job resolved (solution or error)?
   bool ready() const;
-  /// Legacy alias of ready().
-  bool done() const { return ready(); }
-  /// Block until the job resolves.  Async mode: sleeps on the owner's
-  /// completion signal; blocking mode: drives owner->flush().
+  /// Block until the job resolves.  A wait that blocks is a barrier over
+  /// this one job: it returns once the job's round has finished, and in
+  /// blocking mode it lets the executor drain rounds until then.
   void wait() const;
   /// wait(), then the solution — or rethrow the job's stored error.
   const la::Matrix& get() const;
-  /// Alias of get() (the pre-async name).
-  const la::Matrix& solution() const { return get(); }
   /// Valid once ready; throws the job's error if it failed.
   const JobStats& stats() const;
 
@@ -412,11 +399,57 @@ GroupChoice choose_group_ranks(la::index_t m, la::index_t n, int jobs, int P,
                                core::Accuracy accuracy = core::Accuracy::Balanced,
                                double float_flop_scale = 1.0);
 
-/// The serving object.  submit() is safe to call from any number of driver
-/// threads in both modes.  In blocking mode the execution entry points
-/// (flush / solve_all / handle waits) are single-driver: one serving loop
-/// per instance.  In async mode the executor thread is the only machine
-/// driver, and every public method is safe to call concurrently.
+/// What one machine session left behind: BatchSolver's run step reports it,
+/// and classify() decides from it alone what happens to the round's
+/// unfinished jobs.
+struct SessionOutcome {
+  std::vector<int> deaths;   ///< ranks that died during the session
+  std::vector<int> stalls;   ///< ranks whose injected stall held the session
+  bool timed_out = false;    ///< the session deadline fired
+  std::exception_ptr error;  ///< the session's raw error (null: it ended cleanly)
+  /// Jobs of the round the session did not resolve, in round order.
+  std::vector<std::shared_ptr<detail::Job>> unfinished;
+  double deadline_seconds = 0.0;  ///< the armed session deadline (0: none)
+  std::uint64_t round = 0;        ///< the session's 1-based round number
+};
+
+/// What happens to one unfinished job of a round.
+enum class Disposition {
+  Resolve,  ///< not recoverable by requeueing: fail with the round's error
+  Requeue,  ///< back to the queue for another attempt on the survivors
+  Exhaust,  ///< out of attempts: fail with the job's first recoverable error
+  Abort,    ///< the solver is aborting: fail with the abort error
+};
+
+/// classify()'s verdict on one round.
+struct RoundVerdict {
+  std::vector<Disposition> jobs;  ///< one per SessionOutcome::unfinished job
+  /// Why a recoverable round failed (tags requeues and their counters).
+  RetryCause cause = RetryCause::RankDeath;
+  /// The round's cause error: what Resolve jobs fail with, or the
+  /// recoverable error (fault::RankDeath, health::SessionTimeout) that
+  /// requeued jobs keep as their first-failure cause.  Null after a clean
+  /// finish.
+  std::exception_ptr error;
+};
+
+/// Failure classification of one round — a pure function: no lock, no
+/// machine, no clock.  A rank death (a thrown fault::RankDeath, or deaths
+/// reported after a run that otherwise ended cleanly, for which a
+/// fault::RankDeath is made up) and a session timeout are recoverable by
+/// requeueing; anything else resolves the unfinished jobs with the session
+/// error.  A timeout's error is normalised to health::SessionTimeout: the raw
+/// error is whichever rank's exception won the lowest-rank rethrow, often the
+/// generic abort.  Recoverable jobs requeue while attempts[i] <
+/// max_attempts, exhaust after, and abort while `aborting`.  `attempts` holds
+/// one count per unfinished job.
+RoundVerdict classify(const SessionOutcome& outcome, const std::vector<int>& attempts,
+                      int max_attempts, bool aborting);
+
+/// The serving object.  Every public method is safe to call from any
+/// thread in both modes, except that shutdown() / abort() / the destructor
+/// belong to one thread.  The executor thread is the only one that runs
+/// the machine.
 class BatchSolver {
  public:
   explicit BatchSolver(ServeOptions opts = {});
@@ -428,7 +461,8 @@ class BatchSolver {
   BatchSolver& operator=(const BatchSolver&) = delete;
 
   /// Enqueue min_x ||A x - b|| (A: m x n replicated driver-side, b: m x k).
-  /// Blocking mode: nothing executes until flush() / get() / solve_all().
+  /// Blocking mode: nothing executes until a barrier (flush() / get() /
+  /// solve_all() / shutdown()) waits.
   /// Async mode: the executor picks the job up immediately.  Throws
   /// std::invalid_argument after shutdown()/abort().
   JobHandle submit(la::Matrix A, la::Matrix b);
@@ -440,33 +474,32 @@ class BatchSolver {
   /// for admission, so a rejected job cannot hang a caller.
   JobHandle submit(la::Matrix A, la::Matrix b, const SubmitOptions& sopts);
 
-  /// Barrier: every job submitted before this call has resolved when it
-  /// returns.  Blocking mode executes the pending batch inline and rethrows
-  /// a machine-level session error (after recording it in the affected
-  /// handles); async mode only waits — errors stay in the handles, where
-  /// per-job failure isolation puts them.
+  /// Barrier: every job submitted before this call has resolved, and its
+  /// round finished, when it returns.  Blocking mode lets the executor drain
+  /// for it and rethrows the first machine-level session error of that
+  /// drain (after recording it in the affected handles); async mode only
+  /// waits — errors stay in the handles, where per-job failure isolation
+  /// puts them.
   void flush();
 
   /// Bounded-wait flush: like flush(), but gives up after `timeout_seconds`
-  /// and returns whether the barrier completed (every job submitted before
-  /// the call resolved).  False means jobs are still pending — queued,
-  /// backing off, or held by a stalled session (arm
-  /// with_session_timeout_factor to convert the latter into a retry).
-  /// Async mode: a timed wait on the completion signal.  Blocking mode:
-  /// dispatches rounds until the queue drains or the budget runs out
-  /// between rounds — an individual machine session is never cut short by
-  /// the flush budget (session deadlines do that), so the wait can overrun
-  /// by up to one session.  Unlike flush(), never rethrows a session error
-  /// (it stays in the affected handles).
+  /// and returns whether the barrier completed.  False means jobs are still
+  /// pending — queued, backing off, or held by a stalled session (arm
+  /// with_session_timeout_factor to convert the latter into a retry).  The
+  /// wait runs on the caller's thread while the executor drains, so it
+  /// returns at its budget in both modes, even while a session stalls; in
+  /// blocking mode the executor then finishes the round in flight and
+  /// starts no other.  Unlike flush(), never rethrows a session error (it
+  /// stays in the affected handles).
   bool flush_for(double timeout_seconds);
 
   /// Bulk API: submit all problems, flush, return the solutions in order.
   /// Throws the first failed job's error (after all jobs ran).
   std::vector<la::Matrix> solve_all(std::vector<std::pair<la::Matrix, la::Matrix>> problems);
 
-  /// Clean shutdown: drain every pending job, then stop the executor.
-  /// Idempotent; called by the destructor.  After shutdown, submit()
-  /// throws.  Blocking mode: equivalent to flush() + closing submissions.
+  /// Clean shutdown: close submissions, let the executor drain every
+  /// pending job (retry backoff ignored), then stop it.  Idempotent; called
+  /// by the destructor.  After shutdown, submit() throws.
   void shutdown();
 
   /// Abort: fail every queued-but-unstarted job with a shutdown error,
@@ -487,9 +520,11 @@ class BatchSolver {
     std::uint64_t jobs_failed = 0;     ///< rejected, errored, or aborted
     std::uint64_t jobs_rejected = 0;   ///< failed fast at admission (counted in jobs_failed)
     std::uint64_t deadline_misses = 0;  ///< jobs resolved after their deadline
-    std::uint64_t flushes = 0;         ///< batch dispatches (executor drains / flush calls)
-    std::uint64_t sessions = 0;        ///< machine sessions (>= flushes: one per group size)
-    std::uint64_t reprofiles = 0;      ///< periodic re-profiles performed
+    /// Executor drains (idle -> busy), one per drain in both modes; sleeping
+    /// out a retry backoff does not start a new one.
+    std::uint64_t flushes = 0;
+    std::uint64_t sessions = 0;        ///< machine sessions (one per round; >= flushes)
+    std::uint64_t reprofiles = 0;      ///< drift-triggered re-profiles performed
     std::uint64_t plan_cache_hits = 0;    ///< jobs whose shape was already sized+tuned
     std::uint64_t plan_cache_misses = 0;  ///< jobs that triggered sizing+tuning
     std::uint64_t attempts = 0;   ///< job machine attempts (>= jobs entering sessions)
@@ -530,7 +565,7 @@ class BatchSolver {
   Stats stats() const;
 
   /// The most recent measured profile (empty unless
-  /// with_profile()/with_reprofile_every()).  A value copy: periodic
+  /// with_profile()/with_reprofile_on_drift()).  A value copy: drift
   /// re-profiling replaces the stored profile concurrently, so no reference
   /// into it can be handed out safely.
   std::optional<MachineProfile> profile() const;
@@ -556,17 +591,44 @@ class BatchSolver {
   /// waiters.  Called from the driver, the executor, or a machine group-root
   /// rank.
   void resolve_job(const std::shared_ptr<detail::Job>& job, std::exception_ptr error);
-  /// Dispatch one scheduling round: pop the best-ranked job, size its
-  /// group, fill the idle groups with queued same-shape jobs, and run
-  /// exactly that round as one machine session (the preemption slice) under
-  /// the session deadline when one is configured.  Handles validation,
-  /// rank-death/timeout requeueing (with backoff), quarantine bookkeeping
-  /// and session errors for the round.  Returns false when no job was ready
-  /// (empty queue, or everything backing off unless `include_delayed`) or
-  /// the solver is aborting (nothing dispatched).  A machine-level session
-  /// error is recorded in the affected handles and, when `session_error` is
-  /// non-null and empty, stored there too (blocking flush() rethrows it).
-  bool dispatch_round(std::exception_ptr* session_error, bool include_delayed = false);
+  /// One round as plan_round decided it, before the machine runs it.
+  struct RoundPlan {
+    /// The popped job first, then its same-shape riders; empty when the
+    /// popped job resolved during planning or nothing was ready.
+    std::vector<std::shared_ptr<detail::Job>> jobs;
+    int group_ranks = 1;        ///< ranks per group, clamped to the usable ranks
+    int groups = 1;             ///< groups that run jobs concurrently
+    double job_seconds = 0.0;   ///< predicted per-job seconds of the popped job's plan
+    double drift_scale = 1.0;   ///< observed drift p95 (>= 1) the deadline scales by
+    std::uint64_t round = 0;    ///< 1-based session number
+  };
+  /// A waiter in flush() / flush_for() / JobHandle::wait(): the jobs it
+  /// waits on, and the first session error of a drain run for it.
+  struct Barrier {
+    std::vector<std::shared_ptr<detail::Job>> jobs;
+    std::exception_ptr error;
+  };
+  /// What the drain gate allows: nothing, rounds on their own (async mode,
+  /// shutdown), or rounds for waiting barriers (blocking mode), whose
+  /// session errors then go to those barriers.
+  enum class Drain { Closed, Open, ForBarriers };
+
+  /// Plan one scheduling round: pop the best-ranked job (skipping jobs
+  /// still backing off unless `include_delayed`), validate it, size its
+  /// group, resolve its plan, fill the idle groups with queued same-shape
+  /// riders (each with its own contract's plan), and account the round —
+  /// counters, plan-cache hits/misses, per-job dispatch stamps.  Popped jobs
+  /// enter in_flight_.
+  RoundPlan plan_round(bool include_delayed);
+  /// Run a planned round as one machine session (the preemption slice):
+  /// arm the session deadline when configured, run, disarm, and report
+  /// what the session left behind.
+  SessionOutcome run_round(const RoundPlan& round);
+  /// Apply a round's outcome: machine-health bookkeeping, classify(), then
+  /// requeue (with backoff) or resolve each unfinished job.  With
+  /// `for_barriers`, the round's first session error also goes to every
+  /// waiting barrier (blocking flush() rethrows it).
+  void settle_round(const SessionOutcome& outcome, bool for_barriers);
   /// One machine session: all `jobs` round-robined over groups of (up to) g
   /// ranks drawn from the machine's *usable* ranks — dead ranks idle out
   /// permanently, quarantined ranks until reinstated — so a shrunken
@@ -576,23 +638,32 @@ class BatchSolver {
   /// unless that would be empty, in which case capacity wins and the
   /// quarantine is ignored for this session.
   std::vector<int> usable_ranks_locked() const;
-  /// Blocking-mode flush engine: dispatch rounds (sleeping out backoff
-  /// delays) until the queue drains, `deadline` passes between rounds, or a
-  /// non-recoverable session error occurs.  Returns whether the queue
-  /// drained.  The first session error lands in *first_error when non-null.
-  bool flush_blocking(std::optional<std::chrono::steady_clock::time_point> deadline,
-                      bool include_delayed, std::exception_ptr* first_error);
-  /// Async-mode flush barrier: wait (bounded when `deadline`) until every
-  /// job pending at entry resolved; returns whether that happened.
-  bool flush_async(std::optional<std::chrono::steady_clock::time_point> deadline);
-  /// Periodic re-profiling (called between dispatches when configured).
+  /// The executor's drain gate (mu_ held) — the one reader of
+  /// ServeOptions::async().  Async mode drains whenever work is queued;
+  /// blocking mode only while shutdown drains or a barrier waits on an
+  /// unresolved job.
+  Drain drain_gate_locked() const;
+  /// Barrier wait: until `job` — or, when null, every job queued or in
+  /// flight at entry — has resolved and its round finished, or `deadline`
+  /// passes.  Returns whether it completed; the first session error of a
+  /// drain run for it lands in *error when non-null.
+  bool await(const std::shared_ptr<detail::Job>& job,
+             std::optional<std::chrono::steady_clock::time_point> deadline,
+             std::exception_ptr* error);
+  /// Drift re-profiling (called at the start of every drain when configured).
   void maybe_reprofile();
   /// Resolve every not-yet-done job in `jobs` with `error`.
   void resolve_unfinished(const std::vector<std::shared_ptr<detail::Job>>& jobs,
                           std::exception_ptr error);
-  /// Executor thread body (async mode).
+  /// Record one serving trace event on track 1 when tracing is on: a span
+  /// over [t0, t1], or an instant at t0 without t1.  `lane` is a job's
+  /// sequence number, or -1 (the dispatcher lane) for per-round events.
+  void trace(const char* name, int lane, std::uint64_t id,
+             std::chrono::steady_clock::time_point t0,
+             std::optional<std::chrono::steady_clock::time_point> t1 = std::nullopt,
+             int peer = -1, double words = 0.0) const;
+  /// Executor thread body: the one loop that dispatches rounds.
   void executor_loop();
-  void wait_for(const std::shared_ptr<detail::Job>& job);
   friend class JobHandle;
 
   ServeOptions opts_;
@@ -601,20 +672,23 @@ class BatchSolver {
   std::optional<MachineProfile> profile_;
   Solver solver_;
 
-  /// mu_ guards: sched_, in_flight_, next_seq_, the serving metrics,
-  /// sized_shapes_, stop_/aborting_, and swaps of machine_/profile_ during
-  /// re-profiling.  Never held across a machine session.
+  /// mu_ guards: sched_, in_flight_, barriers_, next_seq_, the serving
+  /// metrics, sized_shapes_, stop_/aborting_, and swaps of machine_/profile_
+  /// during re-profiling.  Never held across a machine session.
   mutable std::mutex mu_;
-  std::condition_variable queue_cv_;  ///< executor wakes on submissions/stop
-  std::condition_variable done_cv_;   ///< flush()/wait() completion signal
+  /// Executor wakes on submissions, barriers arriving or leaving, and stop.
+  std::condition_variable queue_cv_;
+  std::condition_variable done_cv_;  ///< barrier completion signal
   /// The ready queue (traffic shaping policy lives in serve/scheduler.hpp).
   Scheduler sched_;
-  /// Jobs of the round currently inside the machine: flush()'s barrier
-  /// snapshot is sched_.snapshot() + in_flight_ (a popped-but-unresolved job
-  /// is in neither the queue nor done).
+  /// Jobs of the round being planned, run or settled, retired together when
+  /// the round ends: a flush barrier snapshots sched_.snapshot() +
+  /// in_flight_ (a popped job is in neither the queue nor, yet, done), and
+  /// waits until its jobs have resolved and left in_flight_.
   std::vector<std::shared_ptr<detail::Job>> in_flight_;
+  /// Waiting barriers (each lives on its waiter's stack).
+  std::vector<Barrier*> barriers_;
   std::uint64_t next_seq_ = 0;  ///< submission sequence (FIFO tiebreak)
-  std::uint64_t dispatches_since_profile_ = 0;
   /// Shapes already sized+planned under the current profile: membership
   /// drives the per-job hit/miss counters, and re-profiling clears it so
   /// every shape re-tunes against the fresh fit.
@@ -627,7 +701,7 @@ class BatchSolver {
   std::vector<int> dead_ranks_;
   /// Fail-slow machinery (src/health/).  backoff_ is immutable after
   /// construction; rank_health_ is guarded by mu_ (externally synchronized,
-  /// like sched_); watchdog_ is used only by the dispatching thread.
+  /// like sched_); watchdog_ is used only by the executor thread.
   health::Backoff backoff_;
   health::RankHealth rank_health_;
   health::Watchdog watchdog_;

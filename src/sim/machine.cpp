@@ -130,7 +130,7 @@ void Machine::run(const std::function<void(backend::Comm&)>& body) {
       } catch (const fault::detail::InjectedKill&) {
         // An injected death is not an error of the run: mark the rank dead
         // and wake every blocked receiver so survivors detect it and either
-        // recover (fault::coded_tsqr) or fail with fault::RankDeath.
+        // handle it or fail with fault::RankDeath.
         injector_.mark_dead(p);
         if (obs::TraceSink* ts = trace_.get()) {
           obs::TraceEvent ev;

@@ -356,15 +356,15 @@ TEST(BackendConformance, Caqr2d) {
   });
 }
 
-// --- Coded TSQR under fault injection. ---------------------------------------
+// --- TSQR under fault injection. ---------------------------------------------
 
 namespace {
 
 /// run_collect, fault-aware: a killed rank never reaches the collect
 /// rendezvous, so rank 0 records a death marker for it instead of its
-/// payload.  `threw` distinguishes runs that degraded to a session failure
-/// (a death at a timing the coded protocol does not cover) from runs that
-/// completed — recovered or clean.
+/// payload.  `threw` marks runs that ended in a session failure (the
+/// machine rethrows the lowest rank's error, which may be the generic abort
+/// a survivor saw rather than the fault::RankDeath that caused it).
 struct FaultyCollect {
   bool threw = false;
   std::vector<double> data;
@@ -399,48 +399,26 @@ FaultyCollect run_collect_faulty(backend::Machine& machine, const Body& body) {
 
 }  // namespace
 
-TEST(BackendConformance, CodedTsqrZeroFault) {
-  // No fault plan: the coded factorization (checksums and all) must be
-  // bitwise identical across backends, exactly like plain TSQR.
-  const index_t m = 64, n = 8;
-  const int P = 8;
-  la::Matrix A = la::random_matrix(m, n, 910);
-  expect_conformant(P, [&](backend::Comm& c) {
-    la::Matrix Al = qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::BlockRows);
-    qr3d::fault::CodedTsqrResult r = qr3d::fault::coded_tsqr(c, Al.view());
-    std::vector<double> out;
-    put(out, r.recovered ? 1.0 : 0.0);
-    put(out, static_cast<double>(r.lost.size()));
-    put(out, r.qr.V);
-    put(out, r.qr.T);
-    put(out, r.qr.R);
-    return out;
-  });
-}
-
-TEST(BackendConformance, CodedTsqrRecoveredFactorsMatchUnderScriptedKills) {
-  // The strong fault-conformance claim: for the SAME scripted kill (rank 2
-  // at logical step s), both backends must agree on the *outcome class*
-  // (clean / recovered / session failure) at every s — the logical-step
-  // counter makes injection backend-independent — and whenever the run
-  // completes, the serialized results (recovered flags, lost sets, factors,
-  // death markers) must be bitwise identical.  At least one step must
-  // exercise the actual checksum recovery.
+TEST(BackendConformance, TsqrOutcomeMatchesUnderScriptedKills) {
+  // For the SAME scripted kill (rank 2 at logical step s), both backends
+  // must agree on the outcome at every s — a clean finish, or a session
+  // failure caused by the death of rank 2 — since the logical-step counter
+  // makes injection backend-independent; whenever the run completes, the
+  // serialized factors (and death markers) must be bitwise identical.  The
+  // sweep must see both outcomes.
   const index_t m = 64, n = 8;
   const int P = 8;
   la::Matrix A = la::random_matrix(m, n, 911);
   const Body body = [&](backend::Comm& c) {
     la::Matrix Al = qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::BlockRows);
-    qr3d::fault::CodedTsqrResult r = qr3d::fault::coded_tsqr(c, Al.view());
+    core::DistributedQr f = core::tsqr(c, la::ConstMatrixView(Al.view()));
     std::vector<double> out;
-    put(out, r.recovered ? 1.0 : 0.0);
-    put(out, static_cast<double>(r.lost.size()));
-    for (int rank : r.lost) put(out, static_cast<double>(rank));
-    put(out, r.qr.R);  // replicated under recovery; root's factor otherwise
+    put(out, f.V);
+    put(out, f.R);
     return out;
   };
 
-  bool saw_recovery = false;
+  bool saw_death = false, saw_completion = false;
   for (std::uint64_t step = 1; step <= 24; ++step) {
     sim::Machine oracle(P);
     backend::ThreadMachine real(P);
@@ -449,16 +427,22 @@ TEST(BackendConformance, CodedTsqrRecoveredFactorsMatchUnderScriptedKills) {
     const FaultyCollect expected = run_collect_faulty(oracle, body);
     const FaultyCollect actual = run_collect_faulty(real, body);
 
-    ASSERT_EQ(expected.threw, actual.threw) << "outcome class diverged at step " << step;
-    if (expected.threw) continue;  // session failure on both: nothing to compare
+    ASSERT_EQ(expected.threw, actual.threw) << "outcome diverged at step " << step;
     ASSERT_EQ(oracle.last_run_deaths(), real.last_run_deaths()) << "step " << step;
+    if (expected.threw) {
+      // The failure is the rank death, not some other error.
+      ASSERT_EQ(oracle.last_run_deaths(), std::vector<int>{2}) << "step " << step;
+      saw_death = true;
+      continue;  // session failure on both: nothing to compare
+    }
+    saw_completion = true;
     ASSERT_EQ(expected.data.size(), actual.data.size()) << "step " << step;
     for (std::size_t i = 0; i < expected.data.size(); ++i)
       ASSERT_EQ(expected.data[i], actual.data[i])
           << "step " << step << ", first divergence at flat index " << i;
-    if (!oracle.last_run_deaths().empty()) saw_recovery = true;
   }
-  EXPECT_TRUE(saw_recovery) << "no step exercised the checksum-recovery path";
+  EXPECT_TRUE(saw_death) << "no step killed a rank the tree still needed";
+  EXPECT_TRUE(saw_completion) << "no step let the run complete";
 }
 
 // --- The facade: Solver / Factorization / least squares. ---------------------

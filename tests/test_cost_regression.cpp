@@ -30,8 +30,6 @@
 #include "core/solver.hpp"
 #include "cost/model.hpp"
 #include "core/tsqr.hpp"
-#include "fault/coded_tsqr.hpp"
-#include "fault/plan.hpp"
 #include "la/random.hpp"
 #include "serve/batch_solver.hpp"
 #include "serve/plan_cache.hpp"
@@ -271,101 +269,25 @@ TEST(CostRegression, SimulatedCountsAreReproducibleAndTransportIndependent) {
   EXPECT_DOUBLE_EQ(tot1.words_sent, tot2.words_sent);
 }
 
-// --- Coded TSQR: the price of the checksum protection. ------------------------
+// --- Plain TSQR: the binomial reduction tree's message budget. ----------------
 
-namespace {
-
-/// Simulated (critical path, totals) of one TSQR-shaped body at P = 8.
-std::pair<sim::CostClock, sim::CostTotals> tsqr_counts(
-    const la::Matrix& A, const qr3d::fault::Plan& plan,
-    const std::function<void(backend::Comm&, la::ConstMatrixView)>& body) {
+// TSQR at m = 64, n = 8, P = 8 over block rows: the binomial upsweep, the
+// mirrored downsweep and the binomial broadcast of U send P-1 = 7 messages
+// each, 21 in total.  Any change to the trees (an extra hop, a wider
+// payload, a lost donation turning into a charged copy) moves these pins.
+TEST(CostRegression, TsqrCountsArePinned) {
+  la::Matrix A = la::random_matrix(64, 8, 901);
   sim::Machine machine(P);
-  if (!plan.empty()) machine.set_fault_plan(plan);
   machine.run([&](backend::Comm& c) {
     la::Matrix Al = qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::BlockRows);
-    body(c, la::ConstMatrixView(Al.view()));
+    (void)qr3d::core::tsqr(c, la::ConstMatrixView(Al.view()));
   });
-  return {machine.critical_path(), machine.totals()};
-}
-
-}  // namespace
-
-// Zero-fault overhead of coded TSQR at f = 1, pinned both as absolute
-// snapshots and as the analytic deltas the protocol predicts over plain
-// TSQR (m = 64, n = 8, P = 8, L = n(n+1)/2 = 36 packed words):
-//   encode:  one Binomial reduce of f*L words to the keeper
-//            -> P-1 = 7 extra messages, 7 * 36 = 252 extra words;
-//   upsweep: one completeness-prefix word on each of the P-1 tree messages
-//            -> 7 extra words;
-//   status:  the root direct-sends one word to each other rank
-//            -> 7 extra messages, 7 extra words.
-// Total: +14 messages, +266 words.  Any protocol change — a lost donation,
-// a chattier status round, checksums piggybacked differently — moves these.
-TEST(CostRegression, CodedTsqrZeroFaultExtrasArePinned) {
-  la::Matrix A = la::random_matrix(64, 8, 901);
-  const auto [cp_plain, tot_plain] = tsqr_counts(
-      A, {}, [](backend::Comm& c, la::ConstMatrixView Al) { (void)qr3d::core::tsqr(c, Al); });
-  const auto [cp_coded, tot_coded] = tsqr_counts(
-      A, {},
-      [](backend::Comm& c, la::ConstMatrixView Al) { (void)qr3d::fault::coded_tsqr(c, Al); });
-
-  EXPECT_DOUBLE_EQ(cp_plain.msgs, 15.0);
-  EXPECT_DOUBLE_EQ(cp_plain.words, 792.0);
-  EXPECT_DOUBLE_EQ(tot_plain.msgs_sent, 21.0);
-  EXPECT_DOUBLE_EQ(tot_plain.words_sent, 1148.0);
-
-  EXPECT_DOUBLE_EQ(cp_coded.msgs, 28.0);
-  EXPECT_DOUBLE_EQ(cp_coded.words, 1021.0);
-  EXPECT_DOUBLE_EQ(tot_coded.msgs_sent, tot_plain.msgs_sent + 14.0);
-  EXPECT_DOUBLE_EQ(tot_coded.words_sent, tot_plain.words_sent + 252.0 + 7.0 + 7.0);
-}
-
-// The protection must be cheap where it matters: on a realistic fabric and a
-// flop/bandwidth-dominated shape, the checksum machinery (all latency-bound)
-// predicts under 15% extra critical-path time at f = 1.
-TEST(CostRegression, CodedTsqrZeroFaultTimeOverheadUnder15Percent) {
-  la::Matrix A = la::random_matrix(4096, 64, 77);
-  const auto run = [&](const std::function<void(backend::Comm&, la::ConstMatrixView)>& body) {
-    sim::Machine machine(P, sim::profiles::hpc_fabric());
-    machine.run([&](backend::Comm& c) {
-      la::Matrix Al = qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::BlockRows);
-      body(c, la::ConstMatrixView(Al.view()));
-    });
-    return machine.critical_path().time;
-  };
-  const double plain =
-      run([](backend::Comm& c, la::ConstMatrixView Al) { (void)qr3d::core::tsqr(c, Al); });
-  const double coded = run(
-      [](backend::Comm& c, la::ConstMatrixView Al) { (void)qr3d::fault::coded_tsqr(c, Al); });
-  EXPECT_GT(plain, 0.0);
-  EXPECT_LE(coded, 1.15 * plain);
-}
-
-// Recovery-round costs are simulated too, and the injection is deterministic,
-// so the whole kill -> detect -> reconstruct execution pins exactly: killing
-// rank 2 at its second comm op (its upsweep send, found by the deterministic
-// sweep in test_fault_injection) trades the dead rank's remaining traffic for
-// the recovery round — every survivor direct-sends its packed R to the root,
-// the root solves the checksum system and direct-sends the recovered factor
-// back — and charges exactly this much.
-TEST(CostRegression, CodedTsqrRecoveryCostsArePinned) {
-  la::Matrix A = la::random_matrix(64, 8, 901);
-  bool recovered = false;
-  sim::Machine machine(P);
-  machine.set_fault_plan(qr3d::fault::Plan::kill(2, 2));
-  machine.run([&](backend::Comm& c) {
-    la::Matrix Al = qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::BlockRows);
-    qr3d::fault::CodedTsqrResult r = qr3d::fault::coded_tsqr(c, Al.view());
-    if (c.rank() == 0) recovered = r.recovered;
-  });
-  EXPECT_TRUE(recovered);
-  EXPECT_EQ(machine.last_run_deaths(), std::vector<int>{2});
   const sim::CostClock cp = machine.critical_path();
   const sim::CostTotals tot = machine.totals();
-  EXPECT_DOUBLE_EQ(cp.msgs, 32.0);
-  EXPECT_DOUBLE_EQ(cp.words, 994.0);
-  EXPECT_DOUBLE_EQ(tot.msgs_sent, 32.0);
-  EXPECT_DOUBLE_EQ(tot.words_sent, 961.0);
+  EXPECT_DOUBLE_EQ(cp.msgs, 15.0);
+  EXPECT_DOUBLE_EQ(cp.words, 792.0);
+  EXPECT_DOUBLE_EQ(tot.msgs_sent, 21.0);
+  EXPECT_DOUBLE_EQ(tot.words_sent, 1148.0);
 }
 
 // --- CholeskyQR2: the fast path's communication budget. -----------------------

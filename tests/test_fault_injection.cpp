@@ -1,7 +1,6 @@
 // The fault subsystem, simulator-first: deterministic kill/stall plans
 // (fault::Plan + backend::Machine::set_fault_plan), death detection at the
-// next communication op (fault::RankDeath), checksum-protected TSQR
-// (fault::coded_tsqr) completing under <= f deaths, and the serving layer's
+// next communication op (fault::RankDeath), and the serving layer's
 // self-healing requeue (serve::BatchSolver attempts/recovered).  The thread
 // backend runs the same scenarios — this suite is in the TSan CI job, so the
 // dead-rank wakeups and requeue handoffs are data-race claims too.
@@ -42,17 +41,6 @@ double solution_error(const la::Matrix& x, const la::Matrix& x_true) {
   la::Matrix dx = la::copy<double>(x.view());
   la::add(-1.0, la::ConstMatrixView(x_true.view()), dx.view());
   return la::frobenius_norm(dx.view()) / (1.0 + la::frobenius_norm(x_true.view()));
-}
-
-/// || R^T R - A^T A || / || A^T A ||: the Gram identity any valid R-factor of
-/// A satisfies, checkable without Q.
-double gram_error(const la::Matrix& A, const la::Matrix& R) {
-  la::Matrix ata =
-      la::multiply<double>(la::Op::ConjTrans, A.view(), la::Op::NoTrans, A.view());
-  la::Matrix rtr =
-      la::multiply<double>(la::Op::ConjTrans, R.view(), la::Op::NoTrans, R.view());
-  la::add(-1.0, la::ConstMatrixView(ata.view()), rtr.view());
-  return la::frobenius_norm(rtr.view()) / (1.0 + la::frobenius_norm(ata.view()));
 }
 
 }  // namespace
@@ -227,216 +215,6 @@ TEST(FaultInjectionThread, SurvivorHandlingDeathCompletesTheRun) {
     }
   });
   EXPECT_EQ(machine.last_run_deaths(), std::vector<int>{1});
-}
-
-// ---------------------------------------------------------------------------
-// Coded TSQR: checksum-protected factorization
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Run coded_tsqr on every rank of `machine` over a block-row distributed A
-/// and collect each rank's result descriptor on the host.
-struct CodedRun {
-  bool threw = false;
-  std::vector<fault::CodedTsqrResult> results;  // indexed by rank
-};
-
-CodedRun run_coded(backend::Machine& machine, const la::Matrix& A, fault::CodedTsqrOptions opts) {
-  const int P = machine.size();
-  CodedRun out;
-  out.results.resize(static_cast<std::size_t>(P));
-  try {
-    machine.run([&](backend::Comm& c) {
-      la::Matrix local = qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::BlockRows);
-      out.results[static_cast<std::size_t>(c.rank())] =
-          fault::coded_tsqr(c, local.view(), opts);
-    });
-  } catch (...) {
-    // A death at an uncovered timing degrades to session failure: the
-    // lowest-ranked error a multi-rank abort cascade surfaces may be either
-    // the RankDeath itself or a plain abort runtime_error.  Either way the
-    // run failed cleanly (no hang, no wrong factor), which is all the sweep
-    // below asserts for uncovered timings.
-    out.threw = true;
-  }
-  return out;
-}
-
-}  // namespace
-
-TEST(CodedTsqr, ZeroFaultMatchesPlainTsqrBitwise) {
-  const index_t m = 64, n = 8;
-  const int P = 8;
-  la::Matrix A = la::random_matrix(m, n, 321);
-  sim::Machine machine(P);
-
-  std::vector<qr3d::core::DistributedQr> plain(static_cast<std::size_t>(P));
-  machine.run([&](backend::Comm& c) {
-    la::Matrix local = qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::BlockRows);
-    plain[static_cast<std::size_t>(c.rank())] = qr3d::core::tsqr(c, local.view());
-  });
-  const CodedRun coded = run_coded(machine, A, {});
-  ASSERT_FALSE(coded.threw);
-
-  for (int p = 0; p < P; ++p) {
-    const auto& cr = coded.results[static_cast<std::size_t>(p)];
-    const auto& pr = plain[static_cast<std::size_t>(p)];
-    EXPECT_FALSE(cr.recovered);
-    EXPECT_TRUE(cr.lost.empty());
-    ASSERT_EQ(cr.qr.V.rows(), pr.V.rows());
-    for (index_t i = 0; i < pr.V.rows(); ++i)
-      for (index_t j = 0; j < pr.V.cols(); ++j)
-        EXPECT_EQ(cr.qr.V(i, j), pr.V(i, j)) << "rank " << p;  // bitwise
-    if (p == 0) {
-      for (index_t i = 0; i < n; ++i)
-        for (index_t j = 0; j < n; ++j) {
-          EXPECT_EQ(cr.qr.R(i, j), pr.R(i, j));
-          EXPECT_EQ(cr.qr.T(i, j), pr.T(i, j));
-        }
-    }
-  }
-}
-
-TEST(CodedTsqr, SingleKillMidUpsweepRecovers) {
-  const index_t m = 64, n = 8;
-  const int P = 8;
-  la::Matrix A = la::random_matrix(m, n, 654);
-  sim::Machine machine(P);
-
-  // Rank 2's clean-run ops: encode reduce, upsweep recv(3)+send(0), status
-  // recv, downsweep recv+send, broadcast.  Killing at the upsweep send means
-  // finding it — walk the plan space instead of hardcoding the op layout:
-  // kill rank 2 at each step and accept the first that yields a recovery
-  // with rank 2 reported lost.  (Deaths at other timings either fail the
-  // session cleanly or, past the rank's op count, never fire.)
-  bool found = false;
-  for (std::uint64_t step = 1; step <= 32 && !found; ++step) {
-    machine.set_fault_plan(fault::Plan::kill(2, step));
-    const CodedRun r = run_coded(machine, A, {});
-    if (r.threw) continue;  // death at an uncovered timing: session failure
-    if (machine.last_run_deaths().empty()) continue;  // plan already consumed? no: one-shot per install
-    const auto& root = r.results[0];
-    if (!root.recovered || root.lost != std::vector<int>{2}) continue;
-    found = true;
-    // The recovered R satisfies the Gram identity and is replicated
-    // identically on every survivor.
-    EXPECT_LT(gram_error(A, root.qr.R), 1e-12) << "step " << step;
-    for (int p = 1; p < P; ++p) {
-      if (p == 2) continue;
-      const auto& pr = r.results[static_cast<std::size_t>(p)];
-      EXPECT_TRUE(pr.recovered);
-      EXPECT_EQ(pr.lost, root.lost);
-      for (index_t i = 0; i < n; ++i)
-        for (index_t j = 0; j < n; ++j) EXPECT_EQ(pr.qr.R(i, j), root.qr.R(i, j));
-    }
-  }
-  EXPECT_TRUE(found) << "no kill step produced a checksum recovery of rank 2";
-}
-
-TEST(CodedTsqr, DoubleKillRecoversWithTwoChecksums) {
-  const index_t m = 64, n = 4;
-  const int P = 8;
-  la::Matrix A = la::random_matrix(m, n, 987);
-  sim::Machine machine(P);
-  fault::CodedTsqrOptions opts;
-  opts.f = 2;
-
-  bool found = false;
-  for (std::uint64_t s3 = 1; s3 <= 16 && !found; ++s3) {
-    for (std::uint64_t s5 = 1; s5 <= 16 && !found; ++s5) {
-      fault::Plan plan;
-      plan.events.push_back(fault::Event{3, s3, fault::Action::Kill, false});
-      plan.events.push_back(fault::Event{5, s5, fault::Action::Kill, false});
-      machine.set_fault_plan(std::move(plan));
-      const CodedRun r = run_coded(machine, A, opts);
-      if (r.threw) continue;
-      const auto& root = r.results[0];
-      if (!root.recovered || root.lost != (std::vector<int>{3, 5})) continue;
-      found = true;
-      EXPECT_LT(gram_error(A, root.qr.R), 1e-12) << "steps " << s3 << "," << s5;
-    }
-  }
-  EXPECT_TRUE(found) << "no kill-step pair produced a two-block recovery";
-}
-
-TEST(CodedTsqr, FiveSimultaneousDeathsRecover) {
-  // e = 5 simultaneous deaths drives the recovery solve through several
-  // pivoting rounds — with e <= 2 a rhs/permutation desync in the e x e
-  // Vandermonde elimination cannot surface (regression test: the rhs must
-  // stay in virtual row order while the matrix is virtually pivoted).
-  const index_t m = 64, n = 4;
-  const int P = 8;
-  la::Matrix A = la::random_matrix(m, n, 246);
-  sim::Machine machine(P);
-  fault::CodedTsqrOptions opts;
-  opts.f = 5;
-  const std::vector<int> victims{1, 2, 3, 4, 5};
-
-  // Find, per victim, a kill step that solo-yields a checksum recovery of
-  // exactly that rank — a death in the post-encode, pre-upsweep-send window.
-  // A rank's op sequence up to the status phase does not depend on peer
-  // deaths (a recv from a dead child throws-and-is-caught but still counts
-  // one op), so the solo steps compose into one simultaneous 5-death plan.
-  std::vector<std::uint64_t> steps;
-  for (int v : victims) {
-    std::uint64_t found = 0;
-    for (std::uint64_t step = 1; step <= 32 && found == 0; ++step) {
-      machine.set_fault_plan(fault::Plan::kill(v, step));
-      const CodedRun r = run_coded(machine, A, opts);
-      if (r.threw) continue;
-      if (r.results[0].recovered && r.results[0].lost == std::vector<int>{v}) found = step;
-    }
-    ASSERT_NE(found, 0u) << "no kill step produced a solo recovery of rank " << v;
-    steps.push_back(found);
-  }
-
-  fault::Plan plan;
-  for (std::size_t i = 0; i < victims.size(); ++i)
-    plan.events.push_back(fault::Event{victims[i], steps[i], fault::Action::Kill, false});
-  machine.set_fault_plan(std::move(plan));
-  const CodedRun r = run_coded(machine, A, opts);
-  ASSERT_FALSE(r.threw);
-  const auto& root = r.results[0];
-  ASSERT_TRUE(root.recovered);
-  EXPECT_EQ(root.lost, victims);
-  EXPECT_LT(gram_error(A, root.qr.R), 1e-10);
-  // Every survivor holds the identical recovered R.
-  for (int p = 1; p < P; ++p) {
-    if (std::find(victims.begin(), victims.end(), p) != victims.end()) continue;
-    const auto& pr = r.results[static_cast<std::size_t>(p)];
-    EXPECT_TRUE(pr.recovered);
-    EXPECT_EQ(pr.lost, victims);
-    for (index_t i = 0; i < n; ++i)
-      for (index_t j = 0; j < n; ++j) EXPECT_EQ(pr.qr.R(i, j), root.qr.R(i, j));
-  }
-}
-
-TEST(CodedTsqr, MoreDeathsThanChecksumsIsUnrecoverable) {
-  const index_t m = 64, n = 8;
-  const int P = 8;
-  la::Matrix A = la::random_matrix(m, n, 135);
-  sim::Machine machine(P);
-
-  // Kill two ranks with f = 1: whatever the timing, the run must FAIL (as a
-  // clean session error), never hang or return a wrong factor.
-  bool saw_unrecoverable = false;
-  for (std::uint64_t s3 = 1; s3 <= 12 && !saw_unrecoverable; ++s3) {
-    for (std::uint64_t s5 = 1; s5 <= 12 && !saw_unrecoverable; ++s5) {
-      fault::Plan plan;
-      plan.events.push_back(fault::Event{3, s3, fault::Action::Kill, false});
-      plan.events.push_back(fault::Event{5, s5, fault::Action::Kill, false});
-      machine.set_fault_plan(std::move(plan));
-      const CodedRun r = run_coded(machine, A, {});
-      if (r.threw && machine.last_run_deaths().size() == 2) saw_unrecoverable = true;
-      // A non-throwing run may legitimately occur (a kill step past the
-      // rank's op count never fires), but never a wrong recovery:
-      if (!r.threw && r.results[0].recovered) {
-        EXPECT_LT(gram_error(A, r.results[0].qr.R), 1e-12);
-      }
-    }
-  }
-  EXPECT_TRUE(saw_unrecoverable);
 }
 
 // ---------------------------------------------------------------------------

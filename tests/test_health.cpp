@@ -438,14 +438,16 @@ TEST(ServeFailSlow, BackoffScheduleIsReproducible) {
 // flush_for: the bounded flush satellite
 // ---------------------------------------------------------------------------
 
-TEST(ServeFailSlow, FlushForReportsAnIncompleteBarrierUnderAStall) {
-  // No session timeout armed: the stalled session holds its jobs, so a
-  // bounded flush must give up and report false instead of hanging forever
-  // (the pre-fix sync bug).  abort() then resolves every handle.
+namespace {
+
+/// No session timeout armed: the stalled session holds its jobs, so a
+/// bounded flush must give up and report false instead of hanging forever.
+/// abort() then resolves every handle.
+void flush_for_under_stall(bool async) {
   serve::ServeOptions opts;
   opts.with_ranks(4)
       .with_group_ranks(2)
-      .with_async()
+      .with_async(async)
       .with_qr(qr3d::QrOptions().with_tune_for_machine().with_backend(qr3d::Backend::Thread))
       .with_params(sim::CostParams{1e-7, 1e-9, 1e-10});
   serve::BatchSolver srv(opts);
@@ -457,6 +459,19 @@ TEST(ServeFailSlow, FlushForReportsAnIncompleteBarrierUnderAStall) {
   srv.abort();
   ASSERT_TRUE(h.ready());
   EXPECT_THROW((void)h.get(), std::runtime_error);
+}
+
+}  // namespace
+
+TEST(ServeFailSlow, FlushForReportsAnIncompleteBarrierUnderAStall) {
+  flush_for_under_stall(/*async=*/true);
+}
+
+TEST(ServeFailSlow, BlockingFlushForReturnsAtItsBudgetUnderAStall) {
+  // Blocking mode runs the stalled session on the executor thread too, so
+  // the bounded wait returns at its budget instead of sitting inside the
+  // session until something aborts it.
+  flush_for_under_stall(/*async=*/false);
 }
 
 TEST(ServeFailSlow, FlushForCompletesOnACleanQueue) {

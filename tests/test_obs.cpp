@@ -496,6 +496,10 @@ TEST(ServeDrift, MedianDriftTriggersReprofile) {
 
   const auto st = srv.stats();
   EXPECT_GE(st.reprofiles, 1u);
+  // A re-profile re-sizes every shape against the fresh fit: the one shape
+  // misses once per profile, and every other job hits.
+  EXPECT_EQ(st.plan_cache_misses, 2u);
+  EXPECT_EQ(st.plan_cache_hits, 7u);
   // The since-profile histogram was reset at the reprofile; the cumulative
   // one keeps every sample.
   EXPECT_EQ(st.drift_samples, 9u);

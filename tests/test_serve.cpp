@@ -1,11 +1,15 @@
 // Tests for the serving layer (src/serve/): BatchSolver job lifecycle and
-// failure isolation, the per-shape plan cache (hit/miss counters, sharing
-// with Solver), sim<->thread conformance of batched results, and the
-// profile -> tune -> serve loop (serve::profile_machine feeding the tuner).
+// failure isolation, the round failure classification (serve::classify),
+// the per-shape plan cache (hit/miss counters, sharing with Solver),
+// sim<->thread conformance of batched results, and the profile -> tune ->
+// serve loop (serve::profile_machine feeding the tuner).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <exception>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -64,13 +68,13 @@ TEST(BatchSolver, SameShapeBatchSolvesAndCaches) {
   for (int j = 0; j < kJobs; ++j) {
     problems.push_back(planted_problem(m, n, 100 + static_cast<std::uint64_t>(2 * j)));
     handles.push_back(srv.submit(problems.back().A, problems.back().b));
-    EXPECT_FALSE(handles.back().done());
+    EXPECT_FALSE(handles.back().ready());
   }
   srv.flush();
 
   for (int j = 0; j < kJobs; ++j) {
-    ASSERT_TRUE(handles[static_cast<std::size_t>(j)].done());
-    const la::Matrix& x = handles[static_cast<std::size_t>(j)].solution();
+    ASSERT_TRUE(handles[static_cast<std::size_t>(j)].ready());
+    const la::Matrix& x = handles[static_cast<std::size_t>(j)].get();
     EXPECT_EQ(x.rows(), n);
     EXPECT_EQ(x.cols(), 1);
     EXPECT_LT(solution_error(x, problems[static_cast<std::size_t>(j)].x_true), 1e-10)
@@ -106,7 +110,7 @@ TEST(BatchSolver, MixedShapesHitAndMissCountersAreExact) {
   }
   srv.flush();
   for (std::size_t j = 0; j < shapes.size(); ++j) {
-    EXPECT_LT(solution_error(handles[j].solution(), problems[j].x_true), 1e-10) << "job " << j;
+    EXPECT_LT(solution_error(handles[j].get(), problems[j].x_true), 1e-10) << "job " << j;
     EXPECT_EQ(handles[j].stats().plan_cache_hit, j >= 2);
   }
   EXPECT_EQ(srv.stats().plan_cache_misses, 2u);
@@ -129,19 +133,19 @@ TEST(BatchSolver, InvalidJobPropagatesWithoutPoisoningTheBatch) {
   serve::JobHandle h2 = srv.submit(good2.A, good2.b);
   srv.flush();
 
-  EXPECT_THROW(bad_shape.solution(), std::invalid_argument);
-  EXPECT_THROW(bad_rhs.solution(), std::invalid_argument);
+  EXPECT_THROW(bad_shape.get(), std::invalid_argument);
+  EXPECT_THROW(bad_rhs.get(), std::invalid_argument);
   EXPECT_THROW(bad_shape.stats(), std::invalid_argument);
   // The failures are isolated: both valid jobs solved correctly.
-  EXPECT_LT(solution_error(h1.solution(), good1.x_true), 1e-10);
-  EXPECT_LT(solution_error(h2.solution(), good2.x_true), 1e-10);
+  EXPECT_LT(solution_error(h1.get(), good1.x_true), 1e-10);
+  EXPECT_LT(solution_error(h2.get(), good2.x_true), 1e-10);
   EXPECT_EQ(srv.stats().jobs_failed, 2u);
   EXPECT_EQ(srv.stats().jobs_completed, 2u);
 
   // The machine is not poisoned for later flushes either.
   Planted good3 = planted_problem(m, n, 510);
   serve::JobHandle h3 = srv.submit(good3.A, good3.b);
-  EXPECT_LT(solution_error(h3.solution(), good3.x_true), 1e-10);  // auto-flush
+  EXPECT_LT(solution_error(h3.get(), good3.x_true), 1e-10);  // auto-flush
   EXPECT_EQ(srv.stats().flushes, 2u);
 }
 
@@ -150,8 +154,8 @@ TEST(BatchSolver, SolutionAutoFlushesAndSolveAllReturnsInOrder) {
   serve::BatchSolver srv(serve::ServeOptions().with_ranks(2));
   Planted p = planted_problem(m, n, 600);
   serve::JobHandle h = srv.submit(p.A, p.b);
-  // No explicit flush: solution() drives it.
-  EXPECT_LT(solution_error(h.solution(), p.x_true), 1e-10);
+  // No explicit flush: get() drives it.
+  EXPECT_LT(solution_error(h.get(), p.x_true), 1e-10);
 
   std::vector<std::pair<la::Matrix, la::Matrix>> bulk;
   std::vector<Planted> planted;
@@ -165,6 +169,105 @@ TEST(BatchSolver, SolutionAutoFlushesAndSolveAllReturnsInOrder) {
     EXPECT_LT(solution_error(xs[static_cast<std::size_t>(j)], planted[static_cast<std::size_t>(j)].x_true),
               1e-10)
         << "problem " << j;
+}
+
+// ---------------------------------------------------------------------------
+// Failure classification (pure: no machine, no lock, no clock)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Error type of an exception_ptr, as a short tag for table comparisons.
+std::string error_kind(const std::exception_ptr& e) {
+  if (!e) return "none";
+  try {
+    std::rethrow_exception(e);
+  } catch (const qr3d::fault::RankDeath&) {
+    return "RankDeath";
+  } catch (const qr3d::health::SessionTimeout&) {
+    return "SessionTimeout";
+  } catch (const std::exception&) {
+    return "other";
+  }
+}
+
+}  // namespace
+
+TEST(Classify, TableCoversEveryRule) {
+  using D = serve::Disposition;
+  using serve::RetryCause;
+  const auto death = std::make_exception_ptr(qr3d::fault::RankDeath(1, "rank 1 died"));
+  const auto generic = std::make_exception_ptr(std::runtime_error("machine aborted"));
+  const auto job = [] { return std::make_shared<serve::detail::Job>(); };
+  const int kMax = 3;
+
+  struct Row {
+    const char* name;
+    serve::SessionOutcome outcome;
+    std::vector<int> attempts;
+    bool aborting;
+    std::vector<D> expect_jobs;
+    RetryCause expect_cause;
+    const char* expect_error;
+  };
+  serve::SessionOutcome clean;
+  serve::SessionOutcome numerical;
+  numerical.error = generic;
+  numerical.unfinished = {job(), job()};
+  serve::SessionOutcome thrown_death;
+  thrown_death.error = death;
+  thrown_death.deaths = {1};
+  thrown_death.unfinished = {job()};
+  serve::SessionOutcome silent_death;  // ranks died, the run ended cleanly
+  silent_death.deaths = {2};
+  silent_death.unfinished = {job()};
+  serve::SessionOutcome timeout;
+  timeout.timed_out = true;
+  timeout.error = generic;  // the lowest-rank rethrow: the generic abort
+  timeout.stalls = {3};
+  timeout.deadline_seconds = 0.5;
+  timeout.round = 7;
+  timeout.unfinished = {job()};
+
+  const std::vector<Row> rows = {
+      {"clean finish", clean, {}, false, {}, RetryCause::RankDeath, "none"},
+      {"non-recoverable error", numerical, {1, 1}, false, {D::Resolve, D::Resolve},
+       RetryCause::RankDeath, "other"},
+      {"thrown death below max", thrown_death, {kMax - 1}, false, {D::Requeue},
+       RetryCause::RankDeath, "RankDeath"},
+      {"thrown death at max", thrown_death, {kMax}, false, {D::Exhaust}, RetryCause::RankDeath,
+       "RankDeath"},
+      {"deaths after a clean end", silent_death, {1}, false, {D::Requeue}, RetryCause::RankDeath,
+       "RankDeath"},
+      {"timeout with generic error", timeout, {1}, false, {D::Requeue}, RetryCause::Timeout,
+       "SessionTimeout"},
+      {"recoverable while aborting", thrown_death, {1}, true, {D::Abort}, RetryCause::RankDeath,
+       "RankDeath"},
+  };
+  for (const Row& row : rows) {
+    const serve::RoundVerdict v = serve::classify(row.outcome, row.attempts, kMax, row.aborting);
+    EXPECT_EQ(v.jobs, row.expect_jobs) << row.name;
+    EXPECT_EQ(v.cause, row.expect_cause) << row.name;
+    EXPECT_EQ(error_kind(v.error), row.expect_error) << row.name;
+  }
+
+  // The made-up death names the dead rank; the normalised timeout carries
+  // the deadline and the stalled rank.
+  const std::exception_ptr made_up = serve::classify(silent_death, {1}, kMax, false).error;
+  ASSERT_EQ(error_kind(made_up), "RankDeath");
+  try {
+    std::rethrow_exception(made_up);
+  } catch (const qr3d::fault::RankDeath& e) {
+    EXPECT_EQ(e.rank(), 2);
+  }
+  const std::exception_ptr normalised = serve::classify(timeout, {1}, kMax, false).error;
+  ASSERT_EQ(error_kind(normalised), "SessionTimeout");
+  try {
+    std::rethrow_exception(normalised);
+  } catch (const qr3d::health::SessionTimeout& e) {
+    EXPECT_EQ(e.deadline_seconds(), 0.5);
+    EXPECT_EQ(e.rank(), 3);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -274,8 +377,8 @@ TEST(AccuracyContract, FastAndBalancedJobsRideCholeskyQr2EndToEnd) {
   EXPECT_EQ(hb.stats().accuracy, qr3d::core::Accuracy::Balanced);
   EXPECT_EQ(hf.stats().cholesky_fallbacks, 0);
   EXPECT_EQ(hb.stats().cholesky_fallbacks, 0);
-  EXPECT_LT(solution_error(hf.solution(), pf.x_true), 1e-4);
-  EXPECT_LT(solution_error(hb.solution(), pb.x_true), 1e-10);
+  EXPECT_LT(solution_error(hf.get(), pf.x_true), 1e-4);
+  EXPECT_LT(solution_error(hb.get(), pb.x_true), 1e-10);
   EXPECT_EQ(srv.stats().jobs_choleskyqr2, 2u);
   EXPECT_EQ(srv.stats().cholesky_fallbacks, 0u);
 }
@@ -287,7 +390,7 @@ TEST(AccuracyContract, AccurateForcesTheHouseholderPath) {
   serve::JobHandle h = srv.submit(
       p.A, p.b, serve::SubmitOptions().with_accuracy(qr3d::core::Accuracy::Accurate));
   srv.flush();
-  EXPECT_LT(solution_error(h.solution(), p.x_true), 1e-10);
+  EXPECT_LT(solution_error(h.get(), p.x_true), 1e-10);
   EXPECT_EQ(srv.stats().jobs_choleskyqr2, 0u);
   EXPECT_EQ(srv.stats().cholesky_fallbacks, 0u);
 }
@@ -313,9 +416,9 @@ TEST(AccuracyContract, IllConditionedJobFallsBackToHouseholderInSession) {
   srv.flush();
 
   EXPECT_EQ(h.stats().cholesky_fallbacks, 1);
-  EXPECT_LT(solution_error(h.solution(), x_true), 1e-4);  // kappa-limited forward error
+  EXPECT_LT(solution_error(h.get(), x_true), 1e-4);  // kappa-limited forward error
   EXPECT_EQ(hok.stats().cholesky_fallbacks, 0);
-  EXPECT_LT(solution_error(hok.solution(), ok.x_true), 1e-10);
+  EXPECT_LT(solution_error(hok.get(), ok.x_true), 1e-10);
   EXPECT_EQ(srv.stats().cholesky_fallbacks, 1u);
   EXPECT_GE(srv.stats().jobs_choleskyqr2, 2u);
   EXPECT_EQ(srv.stats().jobs_failed, 0u);
@@ -490,7 +593,7 @@ TEST(ProfileMachine, BatchSolverConsumesTheFittedProfileEndToEnd) {
   Planted p = planted_problem(64, 32, 1000);
   serve::JobHandle h = srv.submit(p.A, p.b);
   srv.flush();
-  EXPECT_LT(solution_error(h.solution(), p.x_true), 1e-10);
+  EXPECT_LT(solution_error(h.get(), p.x_true), 1e-10);
   EXPECT_EQ(srv.stats().plan_cache_misses, 1u);
 }
 
