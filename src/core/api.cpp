@@ -1,7 +1,6 @@
 #include "core/api.hpp"
 
 #include "core/dist_matrix.hpp"
-#include "cost/tuner.hpp"
 #include "la/flops.hpp"
 #include "la/packing.hpp"
 #include "la/triangular.hpp"
@@ -26,20 +25,6 @@ CaqrEg3dOptions resolve_algorithm(la::index_t m, la::index_t n, int P, Algorithm
       break;
   }
   return params;
-}
-
-CyclicQr qr(backend::Comm& comm, la::ConstMatrixView A_local, la::index_t m, la::index_t n,
-            QrOptions opts) {
-  const int P = comm.size();
-  CaqrEg3dOptions params = resolve_algorithm(m, n, P, opts.algorithm, opts.params);
-
-  if (opts.tune_for_machine && params.b == 0) {
-    const cost::Tuned3d t = cost::tune_3d(static_cast<double>(m), static_cast<double>(n), P,
-                                          comm.params());
-    params.delta = t.delta;
-    params.epsilon = t.epsilon;
-  }
-  return caqr_eg_3d(comm, A_local, m, n, params);
 }
 
 la::Matrix apply_q_cyclic(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
@@ -75,16 +60,6 @@ la::Matrix apply_q_cyclic(backend::Comm& comm, const la::Matrix& V_local, const 
   return Y;
 }
 
-la::Matrix apply_q_cyclic(backend::Comm& comm, const CyclicQr& f, la::index_t m, la::index_t n,
-                          const la::Matrix& X_local, la::index_t k, la::Op op) {
-  return apply_q_cyclic(comm, f.V, f.T, m, n, X_local, k, op);
-}
-
-la::Matrix gather_to_root(backend::Comm& comm, const la::Matrix& local, la::index_t rows,
-                          la::index_t cols) {
-  return DistMatrix::gather_local(comm, local.view(), rows, cols, Dist::CyclicRows, 0);
-}
-
 la::Matrix rebuild_kernel_cyclic(backend::Comm& comm, const la::Matrix& V_local, la::index_t m,
                                  la::index_t n) {
   const int P = comm.size();
@@ -97,7 +72,8 @@ la::Matrix rebuild_kernel_cyclic(backend::Comm& comm, const la::Matrix& V_local,
   // G = V^H V (3D multiplication), gathered to rank 0.
   auto g_buf = mm::mm_3d(comm, n, n, m, lay_vh, la::to_vector_rowmajor(V_local.view()), lay_v,
                          la::to_vector(V_local.view()), lay_g);
-  la::Matrix G = gather_to_root(comm, mm::unpack_rows(lay_g, comm.rank(), g_buf), n, n);
+  la::Matrix G =
+      DistMatrix::gather_local(comm, mm::unpack_rows(lay_g, comm.rank(), g_buf).view(), n, n);
 
   // T = (strict_upper(G) + diag(G)/2)^{-1} on the root, then scatter.
   la::Matrix T_full(n, n);

@@ -1,16 +1,14 @@
-// Low-level driver entry points over raw local blocks.
+// Low-level driver entry points under the public facade (qr3d.hpp's
+// DistMatrix / Solver / Factorization); prefer the facade in new code.
+// This header holds only what the facade and the plan resolver use:
 //
-// These are the procedural primitives underneath the public facade
-// (qr3d.hpp's DistMatrix / Solver / Factorization); prefer the facade in new
-// code.  They remain for internal callers and as the single implementation
-// point the object layer delegates to:
-//
-//   * qr()               — factor a row-cyclic matrix with the Section 1
-//                          aspect-ratio dispatch (resolve_algorithm) and
-//                          optional machine tuning.
+//   * Algorithm / Accuracy — the dispatch and accuracy/speed contract
+//                          enums the facade re-exports.
+//   * resolve_algorithm  — the Section 1 aspect-ratio dispatch, called by
+//                          serve::resolve_shape_plan (the single plan
+//                          resolver behind Solver::factor and serving).
 //   * apply_q_cyclic     — apply Q or Q^H to a row-cyclic block of vectors
 //                          using the 3D multiplication machinery.
-//   * gather_to_root     — thin wrapper over DistMatrix::gather.
 //   * rebuild_kernel_cyclic — the Section 2.3 "T need not be stored" rebuild.
 #pragma once
 
@@ -48,23 +46,11 @@ enum class Accuracy {
   Accurate,  ///< Householder only: no conditioning assumptions
 };
 
-struct QrOptions {
-  Algorithm algorithm = Algorithm::Auto;
-  /// Tune (delta, epsilon) for the machine's cost parameters instead of the
-  /// Theorem 1 defaults.
-  bool tune_for_machine = false;
-  CaqrEg3dOptions params;
-};
-
 /// Resolve the Section 1 dispatch into concrete recursion parameters:
 /// BaseCase (and Auto with m/n >= P) pins b = n so the conversion + 1D base
-/// case runs immediately.  Shared by core::qr and qr3d::Solver.
+/// case runs immediately.  Called by serve::resolve_shape_plan.
 CaqrEg3dOptions resolve_algorithm(la::index_t m, la::index_t n, int P, Algorithm alg,
                                   CaqrEg3dOptions params);
-
-/// Factor a row-cyclic m x n matrix (row i on rank i mod P).  Collective.
-CyclicQr qr(backend::Comm& comm, la::ConstMatrixView A_local, la::index_t m, la::index_t n,
-            QrOptions opts = {});
 
 /// X := Q * X (op = NoTrans) or Q^H * X (op = ConjTrans), where Q is given by
 /// the row-cyclic Householder factors (V_local, T_local) of an m x n matrix
@@ -73,15 +59,6 @@ CyclicQr qr(backend::Comm& comm, la::ConstMatrixView A_local, la::index_t m, la:
 la::Matrix apply_q_cyclic(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
                           la::index_t m, la::index_t n, const la::Matrix& X_local, la::index_t k,
                           la::Op op);
-
-/// Convenience overload taking the factorization bundle.
-la::Matrix apply_q_cyclic(backend::Comm& comm, const CyclicQr& f, la::index_t m, la::index_t n,
-                          const la::Matrix& X_local, la::index_t k, la::Op op);
-
-/// Gather a row-cyclic (rows x cols) matrix onto rank 0 (empty elsewhere).
-/// Thin wrapper over qr3d::DistMatrix::gather — kept for internal callers.
-la::Matrix gather_to_root(backend::Comm& comm, const la::Matrix& local, la::index_t rows,
-                          la::index_t cols);
 
 /// Section 2.3: in Householder representation "T need not be stored, since
 /// T = (triu(V^H V) + diag(V^H V)/2)^{-1}".  Rebuild the kernel from a

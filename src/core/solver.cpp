@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/api.hpp"
-#include "cost/tuner.hpp"
 #include "la/flops.hpp"
 #include "la/packing.hpp"
 #include "serve/plan_cache.hpp"
@@ -65,34 +64,19 @@ Factorization Solver::factor(const DistMatrix& A) const {
   const la::index_t m = A.rows(), n = A.cols();
   const int P = comm.size();
   opts_.validate(m, n, P);
-
-  core::CaqrEg3dOptions params;
-  params.b = opts_.block_size();
-  params.b_star = opts_.base_block_size();
-  params.delta = opts_.delta();
-  params.epsilon = opts_.epsilon();
-  params.alltoall_alg = opts_.alltoall();
-  params = core::resolve_algorithm(m, n, P, opts_.algorithm(), params);
-
-  if (opts_.tune_for_machine() && params.b == 0) {
-    // Memoized in the plan cache: tuning is a pure model computation
-    // (deterministic and free in the simulated cost model), so ranks sharing
-    // a Solver — or a whole serving process seeing the same shape again —
-    // reuse one result.
-    const serve::PlanKey key =
-        serve::make_plan_key(m, n, P, A.dist(), comm.kind(), comm.params());
-    const serve::Plan plan = cache_->lookup_or_tune(key, comm.params());
-    params.delta = plan.delta;
-    params.epsilon = plan.epsilon;
-  }
-
-  return factor_resolved(A, params);
+  // The Householder-only contract: a Solver always returns V, T and R.
+  // Resolution is a pure model computation (deterministic, charging no
+  // simulated cost), so ranks sharing a Solver — or a serving layer sharing
+  // its cache — reuse one plan per shape.
+  return factor(A, serve::resolve_shape_plan(m, n, P, opts_, *cache_, comm.kind(),
+                                             comm.params(), Accuracy::Accurate));
 }
 
 Factorization Solver::factor(const DistMatrix& A, const serve::Plan& plan) const {
   QR3D_CHECK(A.valid(), "Solver::factor: invalid DistMatrix");
+  backend::Comm& comm = A.comm();
   const la::index_t m = A.rows(), n = A.cols();
-  opts_.validate(m, n, A.comm().size());
+  opts_.validate(m, n, comm.size());
 
   core::CaqrEg3dOptions params;
   params.b = plan.b;
@@ -100,17 +84,9 @@ Factorization Solver::factor(const DistMatrix& A, const serve::Plan& plan) const
   params.delta = plan.delta;
   params.epsilon = plan.epsilon;
   params.alltoall_alg = opts_.alltoall();
-  // No resolve_algorithm and no tuner: the plan *is* the resolved choice.
-  // Tuned (delta, epsilon) may lie anywhere in the tuner's [0, 1] grid, like
-  // the tuned path above (the Theorem 1/2 ranges are an option-setter
-  // constraint, not an algorithmic one).
-  return factor_resolved(A, params);
-}
-
-Factorization Solver::factor_resolved(const DistMatrix& A,
-                                      const core::CaqrEg3dOptions& params) const {
-  backend::Comm& comm = A.comm();
-  const la::index_t m = A.rows(), n = A.cols();
+  // The plan *is* the resolved choice.  Tuned (delta, epsilon) may lie
+  // anywhere in the tuner's [0, 1] grid (the Theorem 1/2 ranges are an
+  // option-setter constraint, not an algorithmic one).
 
   // The recursion's native input distribution is row-cyclic; bring other
   // layouts there first (collective, so every rank takes the same branch).

@@ -10,8 +10,10 @@
 // delta in [1/2, 2/3], Theorem 2's epsilon in [0, 1]) and layout/shape
 // compatibility are checked with QR3D_CHECK at this API boundary, so misuse
 // surfaces as std::invalid_argument here instead of deep inside the
-// recursion.  The Solver caches machine-tuned (delta, epsilon) per problem
-// shape, and each Factorization lazily caches the Section 2.3 rebuilt kernel.
+// recursion.  Solver::factor resolves its plan (algorithm dispatch plus
+// machine-tuned (delta, epsilon)) through serve::resolve_shape_plan — the
+// one resolver the serving layer uses too — and caches it per problem shape;
+// each Factorization lazily caches the Section 2.3 rebuilt kernel.
 #pragma once
 
 #include <memory>
@@ -29,8 +31,8 @@ struct Plan;
 class PlanCache;
 }  // namespace serve
 
-/// Algorithm choice (Auto / CaqrEg3d / BaseCase) — the same dispatch the
-/// low-level core::qr driver takes, re-exported at the facade.
+/// Algorithm choice (Auto / CaqrEg3d / BaseCase) — core::resolve_algorithm's
+/// dispatch, re-exported at the facade.
 using Algorithm = core::Algorithm;
 
 /// Execution backend selector (Simulated / Thread), re-exported at the
@@ -62,7 +64,8 @@ class QrOptions {
   /// Base-case threshold override; 0 derives b* from epsilon (Eq. 12).
   QrOptions& with_base_block_size(la::index_t b_star);
   /// Pick (delta, epsilon) for the machine's (alpha, beta, gamma) instead of
-  /// the Theorem 1 defaults.  The Solver caches the tuning per shape.
+  /// the Theorem 1 defaults (Theorem 2's epsilon alone for tall-skinny
+  /// shapes).  The Solver caches the tuning per shape.
   QrOptions& with_tune_for_machine(bool on = true) {
     tune_for_machine_ = on;
     return *this;
@@ -167,13 +170,17 @@ class Factorization {
   std::shared_ptr<DistMatrix> rebuilt_t_ = std::make_shared<DistMatrix>();
 };
 
-/// Factory for Factorizations.  Holds validated options and memoizes
-/// machine-tuned parameters across factor() calls with the same shape in a
+/// Factory for Factorizations.  Holds validated options and memoizes the
+/// resolved plan across factor() calls with the same shape in a
 /// serve::PlanCache — private by default, or shared (second constructor
 /// argument) so a serving layer and its Solver see one cache with one set of
-/// hit/miss counters.  A Solver may be shared by all ranks of a machine (the
-/// cache is mutex-guarded and tuning is a pure model computation charging no
-/// simulated cost), or constructed per rank — both are safe.
+/// hit/miss counters.  Solver plans are keyed under the Accurate contract, so
+/// sharing never changes the plans the serving layer resolves for its
+/// fast/balanced jobs.  The key holds no QrOptions, so share a cache only
+/// between Solvers (and a serving layer) built with the same options.  A
+/// Solver may be shared by all ranks of a machine (the cache is mutex-guarded
+/// and resolution is a pure model computation charging no simulated cost),
+/// or constructed per rank — both are safe.
 class Solver {
  public:
   explicit Solver(QrOptions opts = {}, std::shared_ptr<serve::PlanCache> cache = nullptr);
@@ -181,17 +188,21 @@ class Solver {
   /// The validated options this Solver factors with.
   const QrOptions& options() const { return opts_; }
 
-  /// The per-shape tuning cache (never null).  Hit/miss counters on it
-  /// reflect every with_tune_for_machine() factor() through this Solver.
+  /// The per-shape plan cache (never null).  Hit/miss counters on it
+  /// reflect every factor(A) through this Solver.
   const std::shared_ptr<serve::PlanCache>& plan_cache() const { return cache_; }
 
   /// Factor A (collective).  A must be CyclicRows (BlockRows inputs are
-  /// redistributed first); options are validated against (m, n, P) here.
+  /// redistributed first).  Options are validated against (m, n, P) first —
+  /// misuse throws std::invalid_argument before anything is cached — then
+  /// the plan comes from serve::resolve_shape_plan under the Accurate
+  /// contract and runs through factor(A, plan).
   Factorization factor(const DistMatrix& A) const;
 
-  /// Factor A with a pre-resolved execution plan (collective).  Skips the
-  /// tuner entirely — the serving layer resolves plans driver-side through
-  /// the shared cache and pins them here, so repeated shapes never re-tune.
+  /// Factor A with a pre-resolved execution plan (collective).  Skips
+  /// resolution entirely — the serving layer resolves plans driver-side
+  /// through the shared cache and pins them here, so repeated shapes never
+  /// re-tune.
   Factorization factor(const DistMatrix& A, const serve::Plan& plan) const;
 
   /// One-shot overload with per-call options.
@@ -200,8 +211,6 @@ class Solver {
   }
 
  private:
-  Factorization factor_resolved(const DistMatrix& A, const core::CaqrEg3dOptions& params) const;
-
   QrOptions opts_;
   std::shared_ptr<serve::PlanCache> cache_;
 };

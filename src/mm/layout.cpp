@@ -100,7 +100,7 @@ int DmmLayout::owner(index_t i, index_t j) const {
 }
 
 void DmmLayout::for_each_local(int rank, const Visitor& visit) const {
-  int rb, cb, chunk;
+  int rb = 0, cb = 0, chunk = 0;
   if (!decode(rank, rb, cb, chunk)) return;
   const index_t nrows = row_part_.size(rb);
   const index_t i0 = row_part_.start(rb);
@@ -114,7 +114,7 @@ void DmmLayout::for_each_local(int rank, const Visitor& visit) const {
 }
 
 index_t DmmLayout::local_count(int rank) const {
-  int rb, cb, chunk;
+  int rb = 0, cb = 0, chunk = 0;
   if (!decode(rank, rb, cb, chunk)) return 0;
   BalancedPartition split{row_part_.size(rb) * col_part_.size(cb), split_ways_};
   return split.size(chunk);

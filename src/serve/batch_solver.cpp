@@ -7,9 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/api.hpp"
 #include "core/cholesky_qr2.hpp"
-#include "cost/model.hpp"
 #include "fault/plan.hpp"
 #include "health/timeout.hpp"
 #include "la/error.hpp"
@@ -104,83 +102,8 @@ ServeOptions& ServeOptions::with_retry_backoff(double base_seconds, double cap_s
 }
 
 // ---------------------------------------------------------------------------
-// Plan resolution and adaptive group sizing
+// Adaptive group sizing
 // ---------------------------------------------------------------------------
-
-Plan resolve_shape_plan(la::index_t m, la::index_t n, int P, const QrOptions& qr,
-                        PlanCache& cache, backend::Kind kind, const sim::CostParams& machine,
-                        core::Accuracy accuracy, double float_flop_scale) {
-  const PlanKey key = make_plan_key(m, n, P, Dist::CyclicRows, kind, machine, accuracy);
-  return cache.lookup_or_compute(key, [&]() {
-    core::CaqrEg3dOptions params;
-    params.b = qr.block_size();
-    params.b_star = qr.base_block_size();
-    params.delta = qr.delta();
-    params.epsilon = qr.epsilon();
-    params = core::resolve_algorithm(m, n, P, qr.algorithm(), params);
-    Plan plan;
-    plan.delta = params.delta;
-    plan.epsilon = params.epsilon;
-    plan.b = params.b;
-    plan.b_star = params.b_star;
-    const double md = static_cast<double>(m), nd = static_cast<double>(n);
-    if (P <= 1) {
-      // Single-rank group: a local serial QR, no communication to tune.
-      plan.predicted = cost::Costs{2.0 * md * nd * nd, 0.0, 0.0};
-    } else if (params.b == 0) {
-      // Full 3D recursion: grid-search (delta, epsilon) when tuning, else
-      // predict at the resolved defaults.
-      if (qr.tune_for_machine()) {
-        const cost::Tuned3d t = cost::tune_3d(md, nd, P, machine);
-        plan.delta = t.delta;
-        plan.epsilon = t.epsilon;
-        plan.predicted = t.predicted;
-      } else {
-        plan.predicted = cost::caqr_eg_3d(md, nd, P, plan.delta, plan.epsilon);
-      }
-    } else if (params.b == n) {
-      // Tall-skinny dispatch (immediate conversion + 1D-CAQR-EG): delta is
-      // moot but Theorem 2's epsilon still trades words against messages.
-      if (qr.tune_for_machine()) {
-        const cost::Tuned1d t = cost::tune_1d(md, nd, P, machine);
-        plan.epsilon = t.epsilon;
-        plan.predicted = t.predicted;
-      } else {
-        plan.predicted = cost::caqr_eg_1d(md, nd, P, plan.epsilon);
-      }
-    } else {
-      // Hand-pinned recursion threshold: predict at exactly those blocks.
-      plan.predicted = cost::caqr_eg_3d_b(md, nd, P, static_cast<double>(params.b),
-                                          std::max(1.0, static_cast<double>(params.b_star)));
-    }
-    // Accuracy-contract dispatch: fast/balanced jobs take the CholeskyQR2
-    // fast path when the model says it wins at this shape under the key's
-    // machine parameters (tall-skinny shapes — squarish ones, and P = 1
-    // where the local serial QR is cheaper, lose the comparison and stay on
-    // Householder).  The Householder fields above are NOT cleared: they are
-    // the fallback plan the session retries with when the condition guard
-    // trips or the Gram goes non-SPD.
-    if (accuracy != core::Accuracy::Accurate && m >= n) {
-      cost::Costs cq = cost::cholesky_qr2(md, nd, P);
-      const bool use_float = accuracy == core::Accuracy::Fast;
-      if (use_float && float_flop_scale < 1.0) {
-        // Float first pass: its local work (gram + Cholesky + solve) runs at
-        // the float rate.  Expressed as "effective double flops" so
-        // Costs::time under the double-calibrated gamma stays comparable.
-        const double pass1 = 3.0 * md * nd * nd / P + nd * nd * nd / 3.0;
-        cq.flops -= pass1 * (1.0 - float_flop_scale);
-      }
-      if (cq.time(machine) < plan.predicted.time(machine)) {
-        plan.algorithm = PlanAlgorithm::CholeskyQr2;
-        plan.use_float = use_float;
-        plan.max_condition =
-            use_float ? core::kFastMaxCondition : core::kBalancedMaxCondition;
-        plan.predicted = cq;
-      }
-    }
-    return plan;
-  });
-}
 
 std::vector<int> group_size_candidates(int P) {
   std::vector<int> gs;

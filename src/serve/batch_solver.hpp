@@ -24,10 +24,11 @@
 //      plan cache's model-predicted costs under the machine's (alpha, beta,
 //      gamma): big problems get big groups, small ones pipeline
 //      (choose_group_ranks below; with_group_ranks pins g instead);
-//   4. plan cache — tuned (delta, epsilon) per (m, n, group size, layout,
-//      backend, machine profile) is resolved driver-side through a shared
-//      serve::PlanCache, so repeated shapes skip the tuner entirely (hits
-//      and misses are exposed and testable);
+//   4. plan cache — tuned (delta, epsilon) per (m, n, group size, backend,
+//      machine profile, accuracy contract) is resolved driver-side by
+//      serve::resolve_shape_plan through a shared serve::PlanCache, so
+//      repeated shapes skip the tuner entirely (hits and misses are exposed
+//      and testable);
 //   5. measured profile — with_profile() runs serve::profile_machine first
 //      and feeds the fitted (alpha, beta, gamma) to machine construction, so
 //      the tuner optimizes for the machine it actually runs on instead of a
@@ -364,26 +365,6 @@ struct GroupChoice {
 /// Candidate group sizes on a P-rank machine: the powers of two below P,
 /// plus P itself (ascending).
 std::vector<int> group_size_candidates(int P);
-
-/// Resolve the execution plan for an (m, n) problem on a P-rank
-/// (sub-)communicator through `cache`: algorithm dispatch plus machine
-/// tuning when `qr.tune_for_machine()`, exactly what Solver::factor would
-/// do — and the plan's `predicted` costs are always filled (from the tuner,
-/// or from the closed-form model at the resolved parameters), so callers
-/// can compare shapes and group sizes by predicted time.
-///
-/// `accuracy` is the job's accuracy/speed contract: under Fast or Balanced
-/// the plan dispatches to CholeskyQR2 (PlanAlgorithm::CholeskyQr2, with the
-/// matching condition guard, and under Fast a float first pass) whenever the
-/// model predicts it beats the Householder plan at this shape — the tuned
-/// Householder fields stay filled as the in-session fallback.  Accurate
-/// never dispatches CholeskyQR2.  `float_flop_scale` discounts the float
-/// first pass of Fast plans (gamma_float / gamma from a measured
-/// MachineProfile; 1 = float no faster than double).
-Plan resolve_shape_plan(la::index_t m, la::index_t n, int P, const QrOptions& qr,
-                        PlanCache& cache, backend::Kind kind, const sim::CostParams& machine,
-                        core::Accuracy accuracy = core::Accuracy::Balanced,
-                        double float_flop_scale = 1.0);
 
 /// Adaptive group sizing: pick ranks-per-group for `jobs` problems of shape
 /// m x n on a P-rank machine, minimizing the model-predicted batch makespan

@@ -1,31 +1,37 @@
-// Per-shape plan cache for the serving layer.
+// Per-shape plan cache and the plan resolver for the serving layer and
+// qr3d::Solver.
 //
-// Tuning (delta, epsilon) for a problem shape is a pure function of
-// (m, n, P) and the machine's (alpha, beta, gamma) — a 33x33 grid search
-// over the closed-form cost model (cost/tuner.hpp).  That is cheap next to
-// one factorization but not next to *thousands*: a serving process seeing
-// the same shapes over and over should tune each shape exactly once.
+// resolve_shape_plan is the single place that turns (shape, P, QrOptions,
+// machine parameters, accuracy contract) into an execution Plan: the
+// Section 1 aspect-ratio dispatch (core::resolve_algorithm), (delta,
+// epsilon) tuning over the closed-form cost model (cost/tuner.hpp: the 3D
+// grid search, or Theorem 2's epsilon alone for tall-skinny shapes), and the
+// CholeskyQR2 dispatch of the fast/balanced contracts.  Tuning is cheap next
+// to one factorization but not next to *thousands*: a serving process
+// seeing the same shapes over and over should tune each shape exactly once.
 //
-// PlanCache memoizes the tuner keyed by (m, n, P, layout, backend, machine
-// parameters); the machine parameters are part of the key so a re-profiled
-// machine (serve::profile_machine) transparently re-tunes instead of serving
-// stale plans.  It is shared infrastructure: qr3d::Solver consults one for
-// its with_tune_for_machine() path (each Solver owns a private cache unless
-// given a shared one), and serve::BatchSolver shares a single cache between
-// its driver-side plan resolution and its internal Solver.
+// PlanCache memoizes resolved plans keyed by (m, n, P, backend, machine
+// parameters, accuracy contract); the machine parameters are part of the
+// key so a re-profiled machine (serve::profile_machine) transparently
+// re-tunes instead of serving stale plans.  Inputs are always factored
+// row-cyclically, so the input layout is not part of the key.  It is shared
+// infrastructure: qr3d::Solver::factor resolves its (accurate-contract)
+// plans through one (each Solver owns a private cache unless given a shared
+// one), and serve::BatchSolver shares a single cache between its
+// driver-side plan resolution and its internal Solver.
 //
 // Capacity: a long-running service sees an unbounded stream of distinct
 // keys (every new shape, group size, or re-profiled machine parameter set
 // is one), so memoizing forever is a slow memory leak.  The cache is LRU-
-// bounded: every lookup/insert freshens its key, and an insert past
-// `capacity()` evicts the least-recently-used plan (counted in
-// `evictions()`).  An evicted key simply re-tunes on its next lookup — a
-// re-miss, never an error.  The default capacity is generous (kDefault-
-// Capacity plans of a few hundred bytes each); 0 means unbounded.
+// bounded: every lookup freshens its key, and a miss past `capacity()`
+// evicts the least-recently-used plan (counted in `evictions()`).  An
+// evicted key simply re-resolves on its next lookup — a re-miss, never an
+// error.  The default capacity is generous (kDefaultCapacity plans of a few
+// hundred bytes each); 0 means unbounded.
 //
 // Thread safety: all methods are safe to call concurrently (one mutex); a
-// miss runs the tuner inside the lock so concurrent lookups of the same key
-// tune exactly once.
+// miss runs the resolver inside the lock so concurrent lookups of the same
+// key tune exactly once.
 #pragma once
 
 #include <cstdint>
@@ -37,20 +43,22 @@
 
 #include "backend/comm.hpp"
 #include "core/api.hpp"
-#include "core/dist_matrix.hpp"
 #include "cost/tuner.hpp"
 #include "la/matrix.hpp"
 
+namespace qr3d {
+class QrOptions;
+}  // namespace qr3d
+
 namespace qr3d::serve {
 
-/// Cache key: problem shape + execution context + machine parameters +
+/// Cache key: problem shape + executing backend + machine parameters +
 /// accuracy contract (fast and accurate jobs of the same shape resolve to
 /// different algorithms, so they must not share a cache line).
 struct PlanKey {
   la::index_t m = 0;  ///< problem rows
   la::index_t n = 0;  ///< problem columns
   int P = 0;          ///< ranks of the (sub-)communicator the plan targets
-  Dist layout = Dist::CyclicRows;                  ///< input distribution
   backend::Kind backend = backend::Kind::Simulated;  ///< executing backend
   double alpha = 0.0;  ///< machine seconds per message
   double beta = 0.0;   ///< machine seconds per word
@@ -60,8 +68,8 @@ struct PlanKey {
   /// Lexicographic order over every field (std::map key requirement).
   friend bool operator<(const PlanKey& a, const PlanKey& b) {
     auto tie = [](const PlanKey& k) {
-      return std::tuple(k.m, k.n, k.P, static_cast<int>(k.layout), static_cast<int>(k.backend),
-                        k.alpha, k.beta, k.gamma, static_cast<int>(k.accuracy));
+      return std::tuple(k.m, k.n, k.P, static_cast<int>(k.backend), k.alpha, k.beta, k.gamma,
+                        static_cast<int>(k.accuracy));
     };
     return tie(a) < tie(b);
   }
@@ -100,26 +108,17 @@ class PlanCache {
   /// `capacity` = maximum cached plans before LRU eviction (0 = unbounded).
   explicit PlanCache(std::size_t capacity = kDefaultCapacity) : capacity_(capacity) {}
 
-  /// The cached plan for `key`, tuning (cost::tune_3d under `machine`) on a
-  /// miss.  `machine` must carry the same (alpha, beta, gamma) as the key.
-  Plan lookup_or_tune(const PlanKey& key, const sim::CostParams& machine);
-
-  /// Generic memoization: the cached plan for `key`, or `compute()` stored
-  /// and returned on a miss.  The serving layer uses this to cache *fully
-  /// resolved* plans (including pinned-b tall-skinny dispatches and
-  /// 1D-epsilon tuning), not just the 3D grid search.
+  /// The cached plan for `key`, or `compute()` stored and returned on a
+  /// miss.  In the library only resolve_shape_plan calls it.
   Plan lookup_or_compute(const PlanKey& key, const std::function<Plan()>& compute);
 
-  /// Insert/overwrite an externally computed plan (e.g. hand-pinned
-  /// parameters); counts as neither hit nor miss.
-  void insert(const PlanKey& key, const Plan& plan);
-
-  /// True if `key` is cached; does not tune and does not touch the counters.
+  /// True if `key` is cached; does not resolve and does not touch the
+  /// counters.
   bool contains(const PlanKey& key) const;
 
   /// Lookups served from the cache so far.
   std::uint64_t hits() const;
-  /// Lookups that had to tune/compute so far.
+  /// Lookups that had to resolve the plan so far.
   std::uint64_t misses() const;
   /// Plans dropped by LRU eviction so far.
   std::uint64_t evictions() const;
@@ -153,11 +152,32 @@ class PlanCache {
   std::uint64_t evictions_ = 0;
 };
 
-/// The key Solver::factor uses for a problem it is about to factor.
-/// `accuracy` defaults to Balanced — the serving layer passes the per-job
-/// contract so modes resolve (and cache) independently.
-PlanKey make_plan_key(la::index_t m, la::index_t n, int P, Dist layout, backend::Kind backend,
+/// The key resolve_shape_plan caches an (m, n) plan on a P-rank
+/// (sub-)communicator under.  `accuracy` defaults to Balanced — callers pass
+/// the contract so modes resolve (and cache) independently.
+PlanKey make_plan_key(la::index_t m, la::index_t n, int P, backend::Kind backend,
                       const sim::CostParams& machine,
                       core::Accuracy accuracy = core::Accuracy::Balanced);
+
+/// Resolve the execution plan for an (m, n) problem on a P-rank
+/// (sub-)communicator through `cache`: algorithm dispatch plus machine
+/// tuning when `qr.tune_for_machine()` — and the plan's `predicted` costs
+/// are always filled (from the tuner, or from the closed-form model at the
+/// resolved parameters), so callers can compare shapes and group sizes by
+/// predicted time.  The only resolver: qr3d::Solver::factor calls it with
+/// the Accurate contract, the serving layer with each job's contract.
+///
+/// `accuracy` is the job's accuracy/speed contract: under Fast or Balanced
+/// the plan dispatches to CholeskyQR2 (PlanAlgorithm::CholeskyQr2, with the
+/// matching condition guard, and under Fast a float first pass) whenever the
+/// model predicts it beats the Householder plan at this shape — the tuned
+/// Householder fields stay filled as the in-session fallback.  Accurate
+/// never dispatches CholeskyQR2.  `float_flop_scale` discounts the float
+/// first pass of Fast plans (gamma_float / gamma from a measured
+/// MachineProfile; 1 = float no faster than double).
+Plan resolve_shape_plan(la::index_t m, la::index_t n, int P, const QrOptions& qr,
+                        PlanCache& cache, backend::Kind kind, const sim::CostParams& machine,
+                        core::Accuracy accuracy = core::Accuracy::Balanced,
+                        double float_flop_scale = 1.0);
 
 }  // namespace qr3d::serve

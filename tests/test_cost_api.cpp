@@ -1,5 +1,5 @@
-// Tests for the analytic cost model / tuner (src/cost) and the high-level
-// driver API (core/api.hpp).
+// Tests for the analytic cost model / tuner (src/cost) and the low-level
+// driver API (core/api.hpp) under the Solver facade.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -133,6 +133,10 @@ la::Matrix cyclic_local(backend::Comm& c, const la::Matrix& A) {
   return qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::CyclicRows);
 }
 
+la::Matrix gather(backend::Comm& c, const la::Matrix& local, index_t rows, index_t cols) {
+  return qr3d::DistMatrix::gather_local(c, local.view(), rows, cols);
+}
+
 }  // namespace
 
 class ApiCase : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
@@ -145,12 +149,14 @@ TEST_P(ApiCase, QrAndApplyQRoundTrip) {
   sim::Machine machine(P);
   machine.run([&](backend::Comm& c) {
     la::Matrix Al = cyclic_local(c, A);
-    core::CyclicQr f = core::qr(c, la::ConstMatrixView(Al.view()), m, n);
+    core::CyclicQr f = core::caqr_eg_3d(
+        c, la::ConstMatrixView(Al.view()), m, n,
+        core::resolve_algorithm(m, n, P, core::Algorithm::Auto, core::CaqrEg3dOptions{}));
 
     // Q^H A should be [R; 0]: apply Q^H to A's local rows.
-    la::Matrix QhA = core::apply_q_cyclic(c, f, m, n, Al, n, la::Op::ConjTrans);
-    la::Matrix R0 = core::gather_to_root(c, QhA, m, n);
-    la::Matrix Rg = core::gather_to_root(c, f.R, n, n);
+    la::Matrix QhA = core::apply_q_cyclic(c, f.V, f.T, m, n, Al, n, la::Op::ConjTrans);
+    la::Matrix R0 = gather(c, QhA, m, n);
+    la::Matrix Rg = gather(c, f.R, n, n);
     if (c.rank() == 0) {
       EXPECT_LT(la::diff_norm(R0.block(0, 0, n, n), la::ConstMatrixView(Rg.view())),
                 1e-9 * (1.0 + la::frobenius_norm(Rg.view())));
@@ -159,8 +165,8 @@ TEST_P(ApiCase, QrAndApplyQRoundTrip) {
 
     // Q Q^H x == x.
     la::Matrix Xl = cyclic_local(c, X);
-    la::Matrix Y = core::apply_q_cyclic(c, f, m, n, Xl, 3, la::Op::ConjTrans);
-    la::Matrix Z = core::apply_q_cyclic(c, f, m, n, Y, 3, la::Op::NoTrans);
+    la::Matrix Y = core::apply_q_cyclic(c, f.V, f.T, m, n, Xl, 3, la::Op::ConjTrans);
+    la::Matrix Z = core::apply_q_cyclic(c, f.V, f.T, m, n, Y, 3, la::Op::NoTrans);
     EXPECT_LT(la::diff_norm(Z.view(), Xl.view()), 1e-10 * (1.0 + la::frobenius_norm(Xl.view())));
   });
 }
@@ -176,12 +182,9 @@ TEST(Api, ForcedAlgorithmsAgreeOnR) {
   la::Matrix A = la::random_matrix(m, n, 42);
   for (core::Algorithm alg : {core::Algorithm::CaqrEg3d, core::Algorithm::BaseCase}) {
     sim::Machine machine(P);
+    const qr3d::Solver solver(qr3d::QrOptions().with_algorithm(alg));
     machine.run([&](backend::Comm& c) {
-      la::Matrix Al = cyclic_local(c, A);
-      core::QrOptions opts;
-      opts.algorithm = alg;
-      core::CyclicQr f = core::qr(c, la::ConstMatrixView(Al.view()), m, n, opts);
-      la::Matrix Rg = core::gather_to_root(c, f.R, n, n);
+      la::Matrix Rg = solver.factor(qr3d::DistMatrix::from_global(c, A.view())).r().gather(0);
       if (c.rank() == 0) {
         la::QrFactors ref = la::qr_factor<double>(A.view());
         for (index_t i = 0; i < n; ++i)
@@ -198,26 +201,23 @@ TEST(Api, TunedQrStillCorrect) {
   const int P = 8;
   la::Matrix A = la::random_matrix(m, n, 77);
   sim::Machine machine(P, sim::profiles::cloud());
+  const qr3d::Solver solver(qr3d::QrOptions().with_tune_for_machine());
   machine.run([&](backend::Comm& c) {
-    la::Matrix Al = cyclic_local(c, A);
-    core::QrOptions opts;
-    opts.tune_for_machine = true;
-    core::CyclicQr f = core::qr(c, la::ConstMatrixView(Al.view()), m, n, opts);
-    la::Matrix Rg = core::gather_to_root(c, f.R, n, n);
+    la::Matrix Rg = solver.factor(qr3d::DistMatrix::from_global(c, A.view())).r().gather(0);
     if (c.rank() == 0) {
       EXPECT_TRUE(la::is_upper_triangular(Rg.view(), 1e-12));
     }
   });
 }
 
-TEST(Api, GatherToRootRoundTrip) {
+TEST(Api, GatherLocalRoundTrip) {
   const index_t rows = 17, cols = 5;
   const int P = 3;
   la::Matrix A = la::random_matrix(rows, cols, 3);
   sim::Machine machine(P);
   machine.run([&](backend::Comm& c) {
     la::Matrix loc = cyclic_local(c, A);
-    la::Matrix full = core::gather_to_root(c, loc, rows, cols);
+    la::Matrix full = gather(c, loc, rows, cols);
     if (c.rank() == 0) {
       EXPECT_LT(la::diff_norm(full.view(), A.view()), 1e-15);
     } else {

@@ -20,6 +20,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "backend/comm.hpp"
@@ -181,53 +182,64 @@ TEST(CostRegression, AllToAllTwoPhase) {
 
 // --- Plan-cache reuse. --------------------------------------------------------
 
-// A factorization whose (delta, epsilon) came out of the plan cache must
-// charge exactly the same simulated messages/words as one whose parameters
-// came from a fresh tuner run: the cache stores the tuner's answer, nothing
-// else, so reuse cannot perturb the execution by even one message.
+// A factorization whose plan came out of the plan cache must charge exactly
+// the same simulated messages/words as one whose plan was freshly resolved:
+// the cache stores the resolver's answer, nothing else, so reuse cannot
+// perturb the execution by even one message.  And Solver::factor(A) runs
+// exactly the plan serve::resolve_shape_plan returns for its options, so a
+// pinned plan handed back in (the serving layer's path) charges the same —
+// on the tuned 3D path (64 x 32) and on the tall-skinny path, where
+// Theorem 2's epsilon is tuned alone (128 x 16).
 TEST(CostRegression, PlanCacheReuseChargesIdenticallyToFreshTune) {
-  const qr3d::la::index_t m = 64, n = 32;  // m/n < P: the tuned 3D path
-  la::Matrix A = la::random_matrix(m, n, 77);
-  qr3d::QrOptions opts = qr3d::QrOptions().with_tune_for_machine();
-
-  auto factor_counts = [&](const qr3d::Solver& solver) {
-    sim::Machine machine(P);
-    machine.run([&](backend::Comm& c) {
-      solver.factor(qr3d::DistMatrix::from_global(c, A.view()));
-    });
-    return std::pair(machine.critical_path(), machine.totals());
+  struct Shape {
+    qr3d::la::index_t m, n;
+    double msgs, words;  ///< pinned critical-path counts of the tuned factor
   };
+  // m/n < P (tuned 3D recursion), then m/n >= P (tall-skinny dispatch).
+  for (const Shape sh : {Shape{64, 32, 351, 40672}, Shape{128, 16, 99, 4720}}) {
+    SCOPED_TRACE(std::to_string(sh.m) + "x" + std::to_string(sh.n));
+    la::Matrix A = la::random_matrix(sh.m, sh.n, 77);
+    const qr3d::QrOptions opts = qr3d::QrOptions().with_tune_for_machine();
 
-  // Fresh Solver: the first factor tunes (cache miss).
-  qr3d::Solver fresh(opts);
-  const auto [cp_fresh, tot_fresh] = factor_counts(fresh);
-  EXPECT_EQ(fresh.plan_cache()->misses(), 1u);
+    auto factor_counts = [&](auto&& factor) {
+      sim::Machine machine(P);
+      machine.run([&](backend::Comm& c) { factor(qr3d::DistMatrix::from_global(c, A.view())); });
+      return std::pair(machine.critical_path(), machine.totals());
+    };
 
-  // Same Solver again: the plan is served from the cache, not re-tuned.
-  const std::uint64_t hits_before = fresh.plan_cache()->hits();
-  const auto [cp_cached, tot_cached] = factor_counts(fresh);
-  EXPECT_EQ(fresh.plan_cache()->misses(), 1u);
-  EXPECT_GT(fresh.plan_cache()->hits(), hits_before);
+    // Fresh Solver: the first factor resolves the plan (cache miss).
+    qr3d::Solver fresh(opts);
+    auto tuned = [&](const qr3d::DistMatrix& Ad) { fresh.factor(Ad); };
+    const auto [cp_fresh, tot_fresh] = factor_counts(tuned);
+    EXPECT_EQ(fresh.plan_cache()->misses(), 1u);
+    EXPECT_DOUBLE_EQ(cp_fresh.msgs, sh.msgs);
+    EXPECT_DOUBLE_EQ(cp_fresh.words, sh.words);
 
-  EXPECT_DOUBLE_EQ(cp_cached.msgs, cp_fresh.msgs);
-  EXPECT_DOUBLE_EQ(cp_cached.words, cp_fresh.words);
-  EXPECT_DOUBLE_EQ(cp_cached.flops, cp_fresh.flops);
-  EXPECT_DOUBLE_EQ(cp_cached.time, cp_fresh.time);
-  EXPECT_DOUBLE_EQ(tot_cached.msgs_sent, tot_fresh.msgs_sent);
-  EXPECT_DOUBLE_EQ(tot_cached.words_sent, tot_fresh.words_sent);
+    // Same Solver again: the plan is served from the cache, not re-tuned.
+    const std::uint64_t hits_before = fresh.plan_cache()->hits();
+    const auto [cp_cached, tot_cached] = factor_counts(tuned);
+    EXPECT_EQ(fresh.plan_cache()->misses(), 1u);
+    EXPECT_GT(fresh.plan_cache()->hits(), hits_before);
 
-  // And a *pinned* plan handed back in (the serving layer's path) matches
-  // the tuned execution exactly as well.
-  const serve::PlanKey key = serve::make_plan_key(m, n, P, qr3d::Dist::CyclicRows,
-                                                  backend::Kind::Simulated, sim::CostParams{});
-  const serve::Plan plan = fresh.plan_cache()->lookup_or_tune(key, sim::CostParams{});
-  sim::Machine machine(P);
-  machine.run([&](backend::Comm& c) {
-    fresh.factor(qr3d::DistMatrix::from_global(c, A.view()), plan);
-  });
-  EXPECT_DOUBLE_EQ(machine.critical_path().msgs, cp_fresh.msgs);
-  EXPECT_DOUBLE_EQ(machine.critical_path().words, cp_fresh.words);
-  EXPECT_DOUBLE_EQ(machine.critical_path().flops, cp_fresh.flops);
+    EXPECT_DOUBLE_EQ(cp_cached.msgs, cp_fresh.msgs);
+    EXPECT_DOUBLE_EQ(cp_cached.words, cp_fresh.words);
+    EXPECT_DOUBLE_EQ(cp_cached.flops, cp_fresh.flops);
+    EXPECT_DOUBLE_EQ(cp_cached.time, cp_fresh.time);
+    EXPECT_DOUBLE_EQ(tot_cached.msgs_sent, tot_fresh.msgs_sent);
+    EXPECT_DOUBLE_EQ(tot_cached.words_sent, tot_fresh.words_sent);
+
+    // A plan resolved through a separate cache and pinned back in matches
+    // the tuned execution exactly as well.
+    serve::PlanCache separate;
+    const serve::Plan plan =
+        serve::resolve_shape_plan(sh.m, sh.n, P, opts, separate, backend::Kind::Simulated,
+                                  sim::CostParams{}, qr3d::core::Accuracy::Accurate);
+    const sim::CostClock cp_pinned =
+        factor_counts([&](const qr3d::DistMatrix& Ad) { fresh.factor(Ad, plan); }).first;
+    EXPECT_DOUBLE_EQ(cp_pinned.msgs, cp_fresh.msgs);
+    EXPECT_DOUBLE_EQ(cp_pinned.words, cp_fresh.words);
+    EXPECT_DOUBLE_EQ(cp_pinned.flops, cp_fresh.flops);
+  }
 }
 
 // --- Transport independence. --------------------------------------------------

@@ -26,6 +26,19 @@ la::Matrix block_local(backend::Comm& c, const la::Matrix& A) {
   return qr3d::DistMatrix::local_of(c, A.view(), qr3d::Dist::BlockRows);
 }
 
+la::Matrix gather(backend::Comm& c, const la::Matrix& local, index_t rows, index_t cols) {
+  return qr3d::DistMatrix::gather_local(c, local.view(), rows, cols);
+}
+
+/// 3D-CAQR-EG of the global A under the Section 1 dispatch at the default
+/// parameters — what an untuned Solver::factor runs.
+core::CyclicQr qr_cyclic(backend::Comm& c, const la::Matrix& A) {
+  const index_t m = A.rows(), n = A.cols();
+  return core::caqr_eg_3d(
+      c, la::ConstMatrixView(cyclic_local(c, A).view()), m, n,
+      core::resolve_algorithm(m, n, c.size(), core::Algorithm::Auto, core::CaqrEg3dOptions{}));
+}
+
 /// |R| from every algorithm on the same matrix (QR unique up to row signs).
 std::vector<la::Matrix> all_algorithm_abs_r(const la::Matrix& A, int P) {
   const index_t m = A.rows();
@@ -62,7 +75,7 @@ std::vector<la::Matrix> all_algorithm_abs_r(const la::Matrix& A, int P) {
       opts.b = std::max<index_t>(1, n / 2);
       core::CyclicQr f = core::caqr_eg_3d(
           c, la::ConstMatrixView(cyclic_local(c, A).view()), m, n, opts);
-      la::Matrix Rg = core::gather_to_root(c, f.R, n, n);
+      la::Matrix Rg = gather(c, f.R, n, n);
       if (c.rank() == 0) R = std::move(Rg);
     });
     push_abs(std::move(R));
@@ -128,9 +141,8 @@ TEST(Determinism, IdenticalRunsProduceIdenticalCostsAndFactors) {
   auto run_once = [&](la::Matrix& R_out) {
     sim::Machine machine(P);
     machine.run([&](backend::Comm& c) {
-      core::CyclicQr f = core::qr(c, la::ConstMatrixView(cyclic_local(c, A).view()),
-                                  m, n);
-      la::Matrix Rg = core::gather_to_root(c, f.R, n, n);
+      core::CyclicQr f = qr_cyclic(c, A);
+      la::Matrix Rg = gather(c, f.R, n, n);
       if (c.rank() == 0) R_out = std::move(Rg);
     });
     return machine.critical_path();
@@ -163,7 +175,7 @@ TEST(CostClock, TimeRespectsPerMetricBoundsAcrossAlgorithms) {
     sim::Machine machine(P, params);
     machine.run([&](backend::Comm& c) {
       if (which == 0) {
-        core::qr(c, la::ConstMatrixView(cyclic_local(c, A).view()), m, n);
+        qr_cyclic(c, A);
       } else {
         la::Matrix Al = block_local(c, A);
         core::caqr_eg_1d(c, la::ConstMatrixView(Al.view()));
@@ -211,11 +223,10 @@ TEST(KernelRebuild, Section23IdentityHoldsForDistributedV) {
   la::Matrix A = la::random_matrix(m, n, 41);
   sim::Machine machine(P);
   machine.run([&](backend::Comm& c) {
-    core::CyclicQr f =
-        core::qr(c, la::ConstMatrixView(cyclic_local(c, A).view()), m, n);
+    core::CyclicQr f = qr_cyclic(c, A);
     la::Matrix T_rebuilt = core::rebuild_kernel_cyclic(c, f.V, m, n);
-    la::Matrix T1 = core::gather_to_root(c, f.T, n, n);
-    la::Matrix T2 = core::gather_to_root(c, T_rebuilt, n, n);
+    la::Matrix T1 = gather(c, f.T, n, n);
+    la::Matrix T2 = gather(c, T_rebuilt, n, n);
     if (c.rank() == 0) {
       EXPECT_LT(la::diff_norm(T1.view(), T2.view()), 1e-10 * (1.0 + la::frobenius_norm(T1.view())));
     }
@@ -230,11 +241,10 @@ TEST(GradedMatrices, AllAlgorithmsStayStableAcrossConditioning) {
     // 3D path.
     sim::Machine machine(P);
     machine.run([&](backend::Comm& c) {
-      core::CyclicQr f =
-          core::qr(c, la::ConstMatrixView(cyclic_local(c, A).view()), m, n);
-      la::Matrix V = core::gather_to_root(c, f.V, m, n);
-      la::Matrix T = core::gather_to_root(c, f.T, n, n);
-      la::Matrix R = core::gather_to_root(c, f.R, n, n);
+      core::CyclicQr f = qr_cyclic(c, A);
+      la::Matrix V = gather(c, f.V, m, n);
+      la::Matrix T = gather(c, f.T, n, n);
+      la::Matrix R = gather(c, f.R, n, n);
       if (c.rank() == 0) {
         EXPECT_LT(qr3d::tests::residual_error(A.view(), V.view(), T.view(), R.view()), 1e-10)
             << "cond=" << cond;
@@ -291,13 +301,12 @@ TEST(Validation, House2dRejectsMismatchedLocalBlock) {
 
 TEST(Validation, ApplyQRejectsWrongXShape) {
   sim::Machine machine(2);
-  EXPECT_THROW(machine.run([](backend::Comm& c) {
-    mm::CyclicRows lay(8, 4, 2, 0);
-    la::Matrix Al(lay.local_rows(c.rank()), 4);
-    for (la::index_t i = 0; i < Al.rows(); ++i) Al(i, 0) = 1.0;
-    core::CyclicQr f = core::qr(c, la::ConstMatrixView(Al.view()), 8, 4);
+  la::Matrix A(8, 4);
+  for (la::index_t i = 0; i < A.rows(); ++i) A(i, 0) = 1.0;
+  EXPECT_THROW(machine.run([&](backend::Comm& c) {
+    core::CyclicQr f = qr_cyclic(c, A);
     la::Matrix X(1, 1);  // wrong shape
-    core::apply_q_cyclic(c, f, 8, 4, X, 3, la::Op::NoTrans);
+    core::apply_q_cyclic(c, f.V, f.T, 8, 4, X, 3, la::Op::NoTrans);
   }),
                std::invalid_argument);
 }
@@ -331,19 +340,19 @@ TEST(IterativeTopLevel, ReconstructsAndAgreesWithRecursive) {
     opts.inner.b = 3;
     core::IterativeQr f = core::caqr_eg_3d_iterative(
         c, la::ConstMatrixView(cyclic_local(c, A).view()), m, n, opts);
-    la::Matrix Vg = core::gather_to_root(c, f.V, m, n);
-    la::Matrix Rg = core::gather_to_root(c, f.R, n, n);
+    la::Matrix Vg = gather(c, f.V, m, n);
+    la::Matrix Rg = gather(c, f.R, n, n);
     std::vector<la::Matrix> Tg;
     for (std::size_t k = 0; k < f.T_blocks.size(); ++k) {
       const index_t bk = f.panel_width(k, n);
-      Tg.push_back(core::gather_to_root(c, f.T_blocks[k], bk, bk));
+      Tg.push_back(gather(c, f.T_blocks[k], bk, bk));
     }
     // Recursive reference on the same data.
     core::CaqrEg3dOptions ropts;
     ropts.b = 6;
     core::CyclicQr rec = core::caqr_eg_3d(
         c, la::ConstMatrixView(cyclic_local(c, A).view()), m, n, ropts);
-    la::Matrix Rr = core::gather_to_root(c, rec.R, n, n);
+    la::Matrix Rr = gather(c, rec.R, n, n);
     if (c.rank() == 0) {
       V = std::move(Vg);
       R = std::move(Rg);

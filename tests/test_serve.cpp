@@ -444,44 +444,98 @@ TEST(PlanCache, SolverSharesTheCacheAcrossRanksAndCalls) {
   EXPECT_EQ(solver.plan_cache()->size(), 1u);
 }
 
+TEST(PlanCache, SharedSolverCacheDoesNotChangeServedPlans) {
+  // A Solver sharing the serving layer's cache (Solver(opts,
+  // srv.plan_cache())) resolves its Householder plans under the Accurate
+  // contract, so factoring a shape first must not change the balanced plan
+  // the serving layer resolves for it afterwards: CholeskyQR2 at 256 x 64.
+  const index_t m = 256, n = 64;
+  const int P = 8;
+  const qr3d::QrOptions qr = qr3d::QrOptions().with_tune_for_machine();
+  const sim::CostParams mp{};
+  serve::PlanCache fresh;
+  const serve::Plan expected =
+      serve::resolve_shape_plan(m, n, P, qr, fresh, backend::Kind::Simulated, mp);
+  EXPECT_EQ(expected.algorithm, serve::PlanAlgorithm::CholeskyQr2);
+
+  auto shared = std::make_shared<serve::PlanCache>();
+  const qr3d::Solver solver(qr, shared);
+  la::Matrix A = la::random_matrix(m, n, 930);
+  sim::Machine machine(P, mp);
+  machine.run([&](backend::Comm& c) { solver.factor(DistMatrix::from_global(c, A.view())); });
+
+  const serve::Plan served =
+      serve::resolve_shape_plan(m, n, P, qr, *shared, backend::Kind::Simulated, mp);
+  EXPECT_EQ(served.algorithm, serve::PlanAlgorithm::CholeskyQr2);
+  EXPECT_EQ(served.use_float, expected.use_float);
+  EXPECT_EQ(served.max_condition, expected.max_condition);
+  EXPECT_EQ(served.delta, expected.delta);
+  EXPECT_EQ(served.epsilon, expected.epsilon);
+  EXPECT_EQ(shared->size(), 2u);  // the Solver's accurate plan + the served one
+}
+
+TEST(PlanCache, InvalidShapeIsRejectedBeforeCaching) {
+  // Validation runs before resolution: a wide matrix throws and leaves the
+  // cache untouched.
+  const qr3d::Solver solver(qr3d::QrOptions().with_tune_for_machine());
+  la::Matrix A = la::random_matrix(8, 16, 931);
+  sim::Machine machine(2);
+  EXPECT_THROW(machine.run([&](backend::Comm& c) {
+    solver.factor(DistMatrix::from_global(c, A.view()));
+  }),
+               std::invalid_argument);
+  EXPECT_EQ(solver.plan_cache()->size(), 0u);
+  EXPECT_EQ(solver.plan_cache()->misses(), 0u);
+}
+
 TEST(PlanCache, KeyIncludesMachineParameters) {
   serve::PlanCache cache;
+  const qr3d::QrOptions qr = qr3d::QrOptions().with_tune_for_machine();
   const sim::CostParams cloud = sim::profiles::cloud();
   const sim::CostParams hpc = sim::profiles::hpc_fabric();
-  const serve::PlanKey k1 = serve::make_plan_key(256, 64, 8, qr3d::Dist::CyclicRows,
-                                                 backend::Kind::Simulated, cloud);
-  const serve::PlanKey k2 = serve::make_plan_key(256, 64, 8, qr3d::Dist::CyclicRows,
-                                                 backend::Kind::Simulated, hpc);
-  cache.lookup_or_tune(k1, cloud);
-  cache.lookup_or_tune(k2, hpc);  // different machine: its own entry
+  auto resolve = [&](const sim::CostParams& mp) {
+    return serve::resolve_shape_plan(256, 64, 8, qr, cache, backend::Kind::Simulated, mp);
+  };
+  resolve(cloud);
+  resolve(hpc);  // different machine: its own entry
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
-  cache.lookup_or_tune(k1, cloud);
+  EXPECT_TRUE(cache.contains(serve::make_plan_key(256, 64, 8, backend::Kind::Simulated, hpc)));
+  resolve(cloud);
   EXPECT_EQ(cache.hits(), 1u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits(), 0u);
 }
 
+namespace {
+
+/// Cache-mechanics key for an m x 16 shape on 4 ranks; the plan is a
+/// placeholder (eviction does not look at it).
+serve::PlanKey lru_key(index_t m) {
+  return serve::make_plan_key(m, 16, 4, backend::Kind::Simulated, sim::profiles::cloud());
+}
+
+void lru_lookup(serve::PlanCache& cache, index_t m) {
+  cache.lookup_or_compute(lru_key(m), [] { return serve::Plan{}; });
+}
+
+}  // namespace
+
 TEST(PlanCache, LruEvictionKeepsASweepBounded) {
   // A shape sweep past the capacity stays bounded: every insert past the cap
   // evicts the least-recently-used plan, counted in evictions().
   serve::PlanCache cache(4);
-  const sim::CostParams cloud = sim::profiles::cloud();
-  auto key = [&](index_t m) {
-    return serve::make_plan_key(m, 16, 4, qr3d::Dist::CyclicRows, backend::Kind::Simulated,
-                                cloud);
-  };
-  for (index_t m = 64; m < 64 + 10 * 32; m += 32) cache.lookup_or_tune(key(m), cloud);
+  for (index_t m = 64; m < 64 + 10 * 32; m += 32) lru_lookup(cache, m);
   EXPECT_EQ(cache.size(), 4u);  // bounded, not 10
   EXPECT_EQ(cache.misses(), 10u);
   EXPECT_EQ(cache.evictions(), 6u);
   EXPECT_EQ(cache.capacity(), 4u);
-  // The 4 most recent shapes survived; the oldest re-tunes on re-miss —
+  // The 4 most recent shapes survived; the oldest re-resolves on re-miss —
   // a fresh miss, never an error — and evicts the then-LRU survivor.
-  EXPECT_TRUE(cache.contains(key(64 + 9 * 32)));
-  EXPECT_FALSE(cache.contains(key(64)));
-  cache.lookup_or_tune(key(64), cloud);
+  EXPECT_TRUE(cache.contains(lru_key(64 + 9 * 32)));
+  EXPECT_FALSE(cache.contains(lru_key(64)));
+  lru_lookup(cache, 64);
   EXPECT_EQ(cache.misses(), 11u);
   EXPECT_EQ(cache.evictions(), 7u);
   EXPECT_EQ(cache.size(), 4u);
@@ -489,24 +543,19 @@ TEST(PlanCache, LruEvictionKeepsASweepBounded) {
 
 TEST(PlanCache, LookupFreshensRecency) {
   serve::PlanCache cache(2);
-  const sim::CostParams cloud = sim::profiles::cloud();
-  auto key = [&](index_t m) {
-    return serve::make_plan_key(m, 16, 4, qr3d::Dist::CyclicRows, backend::Kind::Simulated,
-                                cloud);
-  };
-  cache.lookup_or_tune(key(64), cloud);
-  cache.lookup_or_tune(key(96), cloud);
-  cache.lookup_or_tune(key(64), cloud);  // freshen 64: 96 is now the LRU
-  cache.lookup_or_tune(key(128), cloud);
-  EXPECT_TRUE(cache.contains(key(64)));
-  EXPECT_FALSE(cache.contains(key(96)));
+  lru_lookup(cache, 64);
+  lru_lookup(cache, 96);
+  lru_lookup(cache, 64);  // freshen 64: 96 is now the LRU
+  lru_lookup(cache, 128);
+  EXPECT_TRUE(cache.contains(lru_key(64)));
+  EXPECT_FALSE(cache.contains(lru_key(96)));
   EXPECT_EQ(cache.evictions(), 1u);
   // Shrinking the capacity evicts (and counts) at once; 0 = unbounded.
   cache.set_capacity(1);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.evictions(), 2u);
   serve::PlanCache unbounded(0);
-  for (index_t m = 64; m < 64 + 8 * 32; m += 32) unbounded.lookup_or_tune(key(m), cloud);
+  for (index_t m = 64; m < 64 + 8 * 32; m += 32) lru_lookup(unbounded, m);
   EXPECT_EQ(unbounded.size(), 8u);
   EXPECT_EQ(unbounded.evictions(), 0u);
 }
