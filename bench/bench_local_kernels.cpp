@@ -1,5 +1,6 @@
 // E10 — local-kernel throughput: reference vs blocked (vs BLAS when built
-// in) for gemm/trmm/trsm/geqrt/larfb, wall-clock GFLOP/s.
+// in) for gemm/trmm/trsm/geqrt/larfb, wall-clock GFLOP/s, plus the tall
+// right-side trsm of TSQR's reconstruction (`trsm_right`, 16384 x 64).
 //
 // This is the substrate the thread backend's gamma term is made of: the
 // paper's communication-avoiding wins only show up off-simulator when these
@@ -106,6 +107,28 @@ int main(int argc, char** argv) {
       la::assign<double>(B.view(), B0.view());
       la::detail::trsm_blocked(la::Side::Left, la::Uplo::Upper, la::Op::NoTrans, la::Diag::NonUnit,
                                1.0, la::ConstMatrixView(T.view()), B.view());
+    });
+  }
+
+  // Right-side trsm with a narrow triangle on a tall panel: TSQR's
+  // reconstruction V = W U^-1 (and CholeskyQR2's Q = A R^-1) at 16384 x 64.
+  {
+    const la::index_t m = 16384, n = 64;
+    la::Matrix U = la::random_matrix(n, n, 7);
+    la::make_triangular(la::Uplo::Upper, U.view());
+    for (la::index_t i = 0; i < n; ++i) U(i, i) = 4.0 + static_cast<double>(i) * 0.01;
+    la::Matrix W0 = la::random_matrix(m, n, 8);
+    la::Matrix W = la::copy<double>(W0.view());
+    const double fl = static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(n);
+    run("trsm_right", "reference", m, n, n, fl, [&]() {
+      la::assign<double>(W.view(), W0.view());
+      la::trsm_reference(la::Side::Right, la::Uplo::Upper, la::Op::NoTrans, la::Diag::NonUnit,
+                         1.0, la::ConstMatrixView(U.view()), W.view());
+    });
+    run("trsm_right", "blocked", m, n, n, fl, [&]() {
+      la::assign<double>(W.view(), W0.view());
+      la::detail::trsm_blocked(la::Side::Right, la::Uplo::Upper, la::Op::NoTrans,
+                               la::Diag::NonUnit, 1.0, la::ConstMatrixView(U.view()), W.view());
     });
   }
 

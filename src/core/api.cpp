@@ -4,10 +4,42 @@
 #include "la/flops.hpp"
 #include "la/packing.hpp"
 #include "la/triangular.hpp"
+#include "mm/mm_1d.hpp"
 #include "mm/mm_3d.hpp"
 #include "mm/redistribute.hpp"
 
 namespace qr3d::core {
+
+namespace {
+
+/// Section 1's aspect test: m/n >= P makes the matrix tall-skinny enough for
+/// the 1D algorithms (the base case of the factorization, the 1D
+/// multiplications of Lemma 3 for applying Q and rebuilding T).
+bool tall_skinny(la::index_t m, la::index_t n, int P) {
+  return m / std::max<la::index_t>(1, n) >= P;
+}
+
+/// The 1D path of apply_q_cyclic (m/n >= P): V and X share one row-cyclic
+/// layout, so V never moves.  M1 = V^H X is reduced to rank 0, which also
+/// gathers T (n^2 words) and forms M2 = op(T) M1; M2 is broadcast back and
+/// each rank subtracts its rows of V M2.
+la::Matrix apply_q_1d(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
+                      la::index_t n, const la::Matrix& X_local, la::index_t k, la::Op op) {
+  la::Matrix M2 = mm::mm_1d_inner(comm, 0, V_local.view(), X_local.view());
+  la::Matrix T = DistMatrix::gather_local(comm, T_local.view(), n, n);
+  if (comm.rank() == 0) {
+    la::trmm(la::Side::Left, la::Uplo::Upper, op, la::Diag::NonUnit, 1.0,
+             la::ConstMatrixView(T.view()), M2.view());
+    comm.charge_flops(la::flops::trmm(static_cast<double>(n), static_cast<double>(k)));
+  }
+  la::Matrix Y = mm::mm_1d_outer(comm, 0, V_local.view(), M2, n, k);
+  la::scale(-1.0, Y.view());
+  la::add(1.0, la::ConstMatrixView(X_local.view()), Y.view());
+  comm.charge_flops(la::flops::add(X_local.rows(), k));
+  return Y;
+}
+
+}  // namespace
 
 CaqrEg3dOptions resolve_algorithm(la::index_t m, la::index_t n, int P, Algorithm alg,
                                   CaqrEg3dOptions params) {
@@ -16,7 +48,7 @@ CaqrEg3dOptions resolve_algorithm(la::index_t m, la::index_t n, int P, Algorithm
       params.b = n;  // immediate base case: conversion + 1D-CAQR-EG
       break;
     case Algorithm::Auto:
-      if (m / std::max<la::index_t>(1, n) >= P) {
+      if (tall_skinny(m, n, P)) {
         // Section 1: aspect ratio at least P — go straight to the base case.
         params.b = n;
       }
@@ -39,7 +71,9 @@ la::Matrix apply_q_cyclic(backend::Comm& comm, const la::Matrix& V_local, const 
   const mm::CyclicCols lay_th(n, n, P, 0);
   QR3D_CHECK(X_local.rows() == lay_x.local_rows(comm.rank()) && X_local.cols() == k,
              "apply_q_cyclic: X layout mismatch");
+  if (tall_skinny(m, n, P)) return apply_q_1d(comm, V_local, T_local, n, X_local, k, op);
 
+  // 3D path (m/n < P): three 3D multiplications, each redistributing V.
   // M1 = V^H X  (n x k).
   auto m1 = mm::mm_3d(comm, n, k, m, lay_vh, la::to_vector_rowmajor(V_local.view()), lay_x,
                       la::to_vector(X_local.view()), lay_nk);
@@ -69,11 +103,16 @@ la::Matrix rebuild_kernel_cyclic(backend::Comm& comm, const la::Matrix& V_local,
   QR3D_CHECK(V_local.rows() == lay_v.local_rows(comm.rank()) && V_local.cols() == n,
              "rebuild_kernel_cyclic: V layout mismatch");
 
-  // G = V^H V (3D multiplication), gathered to rank 0.
-  auto g_buf = mm::mm_3d(comm, n, n, m, lay_vh, la::to_vector_rowmajor(V_local.view()), lay_v,
-                         la::to_vector(V_local.view()), lay_g);
-  la::Matrix G =
-      DistMatrix::gather_local(comm, mm::unpack_rows(lay_g, comm.rank(), g_buf).view(), n, n);
+  // G = V^H V on rank 0: one reduce of local Gram blocks when tall-skinny
+  // (Lemma 3), else a 3D multiplication gathered to rank 0.
+  la::Matrix G;
+  if (tall_skinny(m, n, P)) {
+    G = mm::mm_1d_inner(comm, 0, V_local.view(), V_local.view());
+  } else {
+    auto g_buf = mm::mm_3d(comm, n, n, m, lay_vh, la::to_vector_rowmajor(V_local.view()), lay_v,
+                           la::to_vector(V_local.view()), lay_g);
+    G = DistMatrix::gather_local(comm, mm::unpack_rows(lay_g, comm.rank(), g_buf).view(), n, n);
+  }
 
   // T = (strict_upper(G) + diag(G)/2)^{-1} on the root, then scatter.
   la::Matrix T_full(n, n);

@@ -1,7 +1,7 @@
 #include "core/caqr_eg_3d.hpp"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
 
 #include "core/caqr_eg_1d.hpp"
 #include "core/params.hpp"
@@ -66,11 +66,12 @@ BaseConversionPlan BaseConversionPlan::make(index_t m, index_t n, int P) {
   for (index_t r = 0; r < n; ++r) plan.final_rows[0].push_back(r);
   for (std::size_t k = next; k < candidates.size(); ++k) plan.final_rows[0].push_back(candidates[k]);
   for (int g = 1; g < plan.Pstar; ++g) {
+    // Both inputs ascend (rows_g from the dealing, given from candidates).
+    const auto& rows_g = plan.group_rows[static_cast<std::size_t>(g)];
+    const auto& given = plan.given_rows[static_cast<std::size_t>(g)];
     auto& fr = plan.final_rows[static_cast<std::size_t>(g)];
-    for (index_t r : plan.group_rows[static_cast<std::size_t>(g)])
-      if (r >= n) fr.push_back(r);
-    for (index_t r : plan.given_rows[static_cast<std::size_t>(g)]) fr.push_back(r);
-    std::sort(fr.begin(), fr.end());
+    std::merge(std::lower_bound(rows_g.begin(), rows_g.end(), n), rows_g.end(), given.begin(),
+               given.end(), std::back_inserter(fr));
     QR3D_ASSERT(static_cast<index_t>(fr.size()) >= n, "BaseConversionPlan: rep short of rows");
   }
   return plan;
@@ -80,17 +81,63 @@ BaseConversionPlan BaseConversionPlan::make(index_t m, index_t n, int P) {
 
 namespace {
 
-/// Rows of `a` as a map position -> values given the ascending row list.
-la::Matrix select_rows(const la::Matrix& a, const std::vector<index_t>& all_rows,
-                       const std::vector<index_t>& wanted) {
-  std::map<index_t, index_t> pos;
-  for (std::size_t k = 0; k < all_rows.size(); ++k) pos[all_rows[k]] = static_cast<index_t>(k);
-  la::Matrix out(static_cast<index_t>(wanted.size()), a.cols());
-  for (std::size_t k = 0; k < wanted.size(); ++k) {
-    const index_t src = pos.at(wanted[k]);
-    for (index_t j = 0; j < a.cols(); ++j) out(static_cast<index_t>(k), j) = a(src, j);
-  }
+using Rows = std::vector<index_t>;
+
+/// The ascending global rows relative rank q holds in the row-cyclic layout.
+Rows cyclic_rows(const mm::CyclicRows& cyc, int q) {
+  Rows rows(static_cast<std::size_t>(cyc.local_rows(q)));
+  for (std::size_t li = 0; li < rows.size(); ++li)
+    rows[li] = cyc.global_row(q, static_cast<index_t>(li));
+  return rows;
+}
+
+/// The rows two ascending row lists share.
+Rows common_rows(const Rows& a, const Rows& b) {
+  Rows out;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
   return out;
+}
+
+/// Local positions of the global rows `which` in a block holding `rows`
+/// (both ascending; every row of `which` must be present).
+std::vector<index_t> positions(const Rows& rows, const Rows& which) {
+  std::vector<index_t> pos(which.size());
+  std::size_t k = 0;
+  for (std::size_t w = 0; w < which.size(); ++w) {
+    while (k < rows.size() && rows[k] < which[w]) ++k;
+    QR3D_ASSERT(k < rows.size() && rows[k] == which[w], "base_case: misrouted row");
+    pos[w] = static_cast<index_t>(k);
+  }
+  return pos;
+}
+
+/// Copy the global rows `which` from `src` (holding `src_rows`) into `dst`
+/// (holding `dst_rows`), one column at a time through precomputed indices.
+void copy_rows(la::ConstMatrixView src, const Rows& src_rows, la::MatrixView dst,
+               const Rows& dst_rows, const Rows& which) {
+  const std::vector<index_t> from = positions(src_rows, which);
+  const std::vector<index_t> to = positions(dst_rows, which);
+  for (index_t j = 0; j < src.cols(); ++j) {
+    const double* s = src.data() + j * src.ld();
+    double* d = dst.data() + j * dst.ld();
+    for (std::size_t k = 0; k < which.size(); ++k) d[to[k]] = s[from[k]];
+  }
+}
+
+/// A received block of `rows.size()` packed rows, viewed in place.
+la::ConstMatrixView packed(const std::vector<double>& buf, const Rows& rows, index_t cols) {
+  const auto r = static_cast<index_t>(rows.size());
+  return la::ConstMatrixView(buf.data(), r, cols, std::max<index_t>(1, r));
+}
+
+/// The global rows `which` of `src` (holding `src_rows`), packed in order
+/// for sending.
+std::vector<double> pack_rows(la::ConstMatrixView src, const Rows& src_rows, const Rows& which) {
+  const auto r = static_cast<index_t>(which.size());
+  std::vector<double> buf(static_cast<std::size_t>(r * src.cols()));
+  copy_rows(src, src_rows, la::MatrixView(buf.data(), r, src.cols(), std::max<index_t>(1, r)),
+            which, which);
+  return buf;
 }
 
 /// Scatter an n x cols matrix from rcomm rank 0 into CyclicRows(n, cols, P, 0)
@@ -105,19 +152,19 @@ la::Matrix scatter_cyclic(backend::Comm& rcomm, const la::Matrix& full_on_root, 
   std::vector<std::vector<double>> blocks;
   if (rcomm.rank() == 0) {
     blocks.resize(static_cast<std::size_t>(P));
-    for (int q = 0; q < P; ++q) {
-      const index_t nloc = layout.local_rows(q);
-      la::Matrix b(nloc, cols);
-      for (index_t li = 0; li < nloc; ++li)
-        for (index_t j = 0; j < cols; ++j) b(li, j) = full_on_root(layout.global_row(q, li), j);
-      blocks[static_cast<std::size_t>(q)] = la::to_vector(b.view());
-    }
+    Rows all(static_cast<std::size_t>(n));
+    for (index_t r = 0; r < n; ++r) all[static_cast<std::size_t>(r)] = r;
+    for (int q = 0; q < P; ++q)
+      blocks[static_cast<std::size_t>(q)] =
+          pack_rows(full_on_root.view(), all, cyclic_rows(layout, q));
   }
   auto mine = coll::scatter(rcomm, 0, blocks, counts);
-  return la::from_vector(mm::CyclicRows(n, cols, P, 0).local_rows(rcomm.rank()), cols, mine);
+  return la::from_vector(layout.local_rows(rcomm.rank()), cols, mine);
 }
 
 /// Base case (Section 7.1): layout conversion + 1D-CAQR-EG + reversal.
+/// Every row move goes through the plan's ascending row lists: a block's
+/// rows are located by index, and copied one column at a time.
 CyclicQr base_case(backend::Comm& comm, la::ConstMatrixView A_local, index_t m, index_t n, int shift,
                    index_t bstar) {
   const int P = comm.size();
@@ -129,99 +176,82 @@ CyclicQr base_case(backend::Comm& comm, la::ConstMatrixView A_local, index_t m, 
 
   const auto plan = detail::BaseConversionPlan::make(m, n, P);
   const mm::CyclicRows cyc(m, n, P, 0);  // layout w.r.t. relative ranks
+  auto at = [](const std::vector<Rows>& lists, int g) -> const Rows& {
+    return lists[static_cast<std::size_t>(g)];
+  };
 
   // --- Phase 1: gather rows within each group to its representative. -------
+  // With singleton groups (P* = P', which holds whenever m/n >= P) every
+  // owner is its own representative and already holds its group's rows in
+  // order, so the phase and its reversal vanish.
+  const bool singleton = plan.Pstar == plan.Pprime;
   const bool owns_rows = rr < plan.Pprime;
   const int g = owns_rows ? rr % plan.Pstar : -1;
-  backend::Comm gcomm = rcomm.split(g, rr);
   const bool is_rep = owns_rows && rr == g;
+  backend::Comm gcomm;
+  std::vector<std::size_t> member_counts;
+  if (!singleton) {
+    gcomm = rcomm.split(g, rr);
+    if (owns_rows) {
+      member_counts.resize(static_cast<std::size_t>(gcomm.size()));
+      for (int i = 0; i < gcomm.size(); ++i)
+        member_counts[static_cast<std::size_t>(i)] =
+            static_cast<std::size_t>(cyc.local_count(g + i * plan.Pstar));
+    }
+  }
 
-  la::Matrix grouped;  // representative's rows, ordered by plan.group_rows[g]
-  if (owns_rows) {
-    std::vector<std::size_t> counts(static_cast<std::size_t>(gcomm.size()));
-    for (int i = 0; i < gcomm.size(); ++i)
-      counts[static_cast<std::size_t>(i)] =
-          static_cast<std::size_t>(cyc.local_count(g + i * plan.Pstar));
-    auto blocks = coll::gather(gcomm, 0, la::to_vector(A_local), counts);
+  la::Matrix gathered_rows;
+  la::ConstMatrixView grouped = A_local;  // the rep's rows, ordered by plan.group_rows[g]
+  if (!singleton && owns_rows) {
+    auto blocks = coll::gather(gcomm, 0, la::to_vector(A_local), member_counts);
     if (is_rep) {
-      const auto& rows = plan.group_rows[static_cast<std::size_t>(g)];
-      std::map<index_t, index_t> pos;
-      for (std::size_t k = 0; k < rows.size(); ++k) pos[rows[k]] = static_cast<index_t>(k);
-      grouped = la::Matrix(static_cast<index_t>(rows.size()), n);
+      const Rows& rows_g = at(plan.group_rows, g);
+      gathered_rows = la::Matrix(static_cast<index_t>(rows_g.size()), n);
       for (int i = 0; i < gcomm.size(); ++i) {
-        const int member = g + i * plan.Pstar;
-        const index_t nloc = cyc.local_rows(member);
-        la::Matrix b = la::from_vector(nloc, n, blocks[static_cast<std::size_t>(i)]);
-        for (index_t li = 0; li < nloc; ++li) {
-          const index_t dst = pos.at(cyc.global_row(member, li));
-          for (index_t j = 0; j < n; ++j) grouped(dst, j) = b(li, j);
-        }
+        const Rows member_rows = cyclic_rows(cyc, g + i * plan.Pstar);
+        copy_rows(packed(blocks[static_cast<std::size_t>(i)], member_rows, n), member_rows,
+                  gathered_rows.view(), rows_g, member_rows);
       }
+      grouped = gathered_rows.view();
     }
   }
 
   // --- Phase 2: move the top n rows to rep 0, rebalancing with a scatter. --
   backend::Comm repcomm = rcomm.split(is_rep ? 0 : -1, rr);
-  std::vector<std::size_t> top_counts(static_cast<std::size_t>(plan.Pstar));
+  // Rep h sends its top rows and receives as many rebalancing rows.
+  std::vector<std::size_t> moved_counts(static_cast<std::size_t>(plan.Pstar));
   for (int h = 0; h < plan.Pstar; ++h)
-    top_counts[static_cast<std::size_t>(h)] =
-        plan.top_rows[static_cast<std::size_t>(h)].size() * static_cast<std::size_t>(n);
+    moved_counts[static_cast<std::size_t>(h)] =
+        at(plan.top_rows, h).size() * static_cast<std::size_t>(n);
 
   la::Matrix converted;  // rows ordered by plan.final_rows[g]
   if (is_rep) {
-    const auto& rows_g = plan.group_rows[static_cast<std::size_t>(g)];
-    la::Matrix my_top = select_rows(grouped, rows_g, plan.top_rows[static_cast<std::size_t>(g)]);
-    auto gathered = coll::gather(repcomm, 0, la::to_vector(my_top.view()), top_counts);
-
+    const Rows& rows_g = at(plan.group_rows, g);
+    const Rows& fin = at(plan.final_rows, g);
+    auto gathered =
+        coll::gather(repcomm, 0, pack_rows(grouped, rows_g, at(plan.top_rows, g)), moved_counts);
     std::vector<std::vector<double>> give_blocks;
     if (g == 0) {
       give_blocks.resize(static_cast<std::size_t>(plan.Pstar));
       for (int h = 1; h < plan.Pstar; ++h)
-        give_blocks[static_cast<std::size_t>(h)] = la::to_vector(
-            select_rows(grouped, rows_g, plan.given_rows[static_cast<std::size_t>(h)]).view());
+        give_blocks[static_cast<std::size_t>(h)] =
+            pack_rows(grouped, rows_g, at(plan.given_rows, h));
     }
-    auto received = coll::scatter(repcomm, 0, give_blocks, top_counts);
+    auto received = coll::scatter(repcomm, 0, give_blocks, moved_counts);
 
-    // Assemble the converted local matrix from: kept rows, plus (rep 0) all
-    // gathered top rows, plus (rep > 0) the rebalancing rows.
-    const auto& fin = plan.final_rows[static_cast<std::size_t>(g)];
-    std::map<index_t, index_t> pos;
-    for (std::size_t k = 0; k < fin.size(); ++k) pos[fin[k]] = static_cast<index_t>(k);
+    // Assemble from the rows kept through phase 2, plus (rep 0) every rep's
+    // top rows or (rep > 0) the rebalancing rows.
     converted = la::Matrix(static_cast<index_t>(fin.size()), n);
-    auto place = [&](index_t global_row, const double* vals) {
-      auto it = pos.find(global_row);
-      QR3D_ASSERT(it != pos.end(), "base_case: misrouted row");
-      for (index_t j = 0; j < n; ++j) converted(it->second, j) = vals[static_cast<std::size_t>(j)];
-    };
-    std::vector<double> rowbuf(static_cast<std::size_t>(n));
-    auto copy_row = [&](const la::Matrix& src, index_t li) {
-      for (index_t j = 0; j < n; ++j) rowbuf[static_cast<std::size_t>(j)] = src(li, j);
-      return rowbuf.data();
-    };
+    copy_rows(grouped, rows_g, converted.view(), fin, common_rows(rows_g, fin));
     if (g == 0) {
-      // All rows < n (own + gathered), plus own rows >= n not given away.
-      std::vector<bool> given(static_cast<std::size_t>(m), false);
-      for (int h = 1; h < plan.Pstar; ++h)
-        for (index_t r : plan.given_rows[static_cast<std::size_t>(h)])
-          given[static_cast<std::size_t>(r)] = true;
-      for (std::size_t k = 0; k < rows_g.size(); ++k)
-        if (!given[static_cast<std::size_t>(rows_g[k])])
-          place(rows_g[k], copy_row(grouped, static_cast<index_t>(k)));
       for (int h = 1; h < plan.Pstar; ++h) {
-        la::Matrix tops = la::from_vector(
-            static_cast<index_t>(plan.top_rows[static_cast<std::size_t>(h)].size()), n,
-            gathered[static_cast<std::size_t>(h)]);
-        for (std::size_t k = 0; k < plan.top_rows[static_cast<std::size_t>(h)].size(); ++k)
-          place(plan.top_rows[static_cast<std::size_t>(h)][k], copy_row(tops, static_cast<index_t>(k)));
+        const Rows& tops = at(plan.top_rows, h);
+        copy_rows(packed(gathered[static_cast<std::size_t>(h)], tops, n), tops, converted.view(),
+                  fin, tops);
       }
     } else {
-      for (std::size_t k = 0; k < rows_g.size(); ++k)
-        if (rows_g[k] >= n) place(rows_g[k], copy_row(grouped, static_cast<index_t>(k)));
-      la::Matrix recv_rows = la::from_vector(
-          static_cast<index_t>(plan.given_rows[static_cast<std::size_t>(g)].size()), n, received);
-      for (std::size_t k = 0; k < plan.given_rows[static_cast<std::size_t>(g)].size(); ++k)
-        place(plan.given_rows[static_cast<std::size_t>(g)][k],
-              copy_row(recv_rows, static_cast<index_t>(k)));
+      const Rows& given = at(plan.given_rows, g);
+      copy_rows(packed(received, given, n), given, converted.view(), fin, given);
     }
   }
 
@@ -236,85 +266,47 @@ CyclicQr base_case(backend::Comm& comm, la::ConstMatrixView A_local, index_t m, 
   // --- Reverse phase 2 for V. ----------------------------------------------
   la::Matrix v_grouped;  // V rows ordered by plan.group_rows[g]
   if (is_rep) {
-    const auto& fin = plan.final_rows[static_cast<std::size_t>(g)];
+    const Rows& rows_g = at(plan.group_rows, g);
+    const Rows& fin = at(plan.final_rows, g);
+    const la::ConstMatrixView V = r1d.V.view();
     std::vector<std::vector<double>> back_blocks;
     if (g == 0) {
       back_blocks.resize(static_cast<std::size_t>(plan.Pstar));
       for (int h = 1; h < plan.Pstar; ++h)
-        back_blocks[static_cast<std::size_t>(h)] = la::to_vector(
-            select_rows(r1d.V, fin, plan.top_rows[static_cast<std::size_t>(h)]).view());
+        back_blocks[static_cast<std::size_t>(h)] = pack_rows(V, fin, at(plan.top_rows, h));
     }
-    auto top_back = coll::scatter(repcomm, 0, back_blocks, top_counts);
-    auto given_back = coll::gather(
-        repcomm, 0,
-        la::to_vector(select_rows(r1d.V, fin, plan.given_rows[static_cast<std::size_t>(g)]).view()),
-        [&] {
-          std::vector<std::size_t> counts(static_cast<std::size_t>(plan.Pstar));
-          for (int h = 0; h < plan.Pstar; ++h)
-            counts[static_cast<std::size_t>(h)] =
-                plan.given_rows[static_cast<std::size_t>(h)].size() * static_cast<std::size_t>(n);
-          return counts;
-        }());
+    auto top_back = coll::scatter(repcomm, 0, back_blocks, moved_counts);
+    auto given_back =
+        coll::gather(repcomm, 0, pack_rows(V, fin, at(plan.given_rows, g)), moved_counts);
 
-    const auto& rows_g = plan.group_rows[static_cast<std::size_t>(g)];
-    std::map<index_t, index_t> pos;
-    for (std::size_t k = 0; k < rows_g.size(); ++k) pos[rows_g[k]] = static_cast<index_t>(k);
     v_grouped = la::Matrix(static_cast<index_t>(rows_g.size()), n);
-    auto place = [&](index_t global_row, la::ConstMatrixView src, index_t li) {
-      const index_t dst = pos.at(global_row);
-      for (index_t j = 0; j < n; ++j) v_grouped(dst, j) = src(li, j);
-    };
-    // Rows I kept through phase 2.
-    std::map<index_t, index_t> fpos;
-    for (std::size_t k = 0; k < fin.size(); ++k) fpos[fin[k]] = static_cast<index_t>(k);
-    for (index_t r : rows_g) {
-      // Rows that left this rep in phase 2 are absent from `fin`; they come
-      // back via the reversal messages below.
-      auto it = fpos.find(r);
-      if (it != fpos.end()) place(r, r1d.V.view(), it->second);
-    }
+    copy_rows(V, fin, v_grouped.view(), rows_g, common_rows(rows_g, fin));
     if (g == 0) {
-      // Rows given away in phase 2 come back via the gather.
       for (int h = 1; h < plan.Pstar; ++h) {
-        la::Matrix back = la::from_vector(
-            static_cast<index_t>(plan.given_rows[static_cast<std::size_t>(h)].size()), n,
-            given_back[static_cast<std::size_t>(h)]);
-        for (std::size_t k = 0; k < plan.given_rows[static_cast<std::size_t>(h)].size(); ++k)
-          place(plan.given_rows[static_cast<std::size_t>(h)][k], back.view(),
-                static_cast<index_t>(k));
+        const Rows& given = at(plan.given_rows, h);
+        copy_rows(packed(given_back[static_cast<std::size_t>(h)], given, n), given,
+                  v_grouped.view(), rows_g, given);
       }
     } else {
-      la::Matrix back = la::from_vector(
-          static_cast<index_t>(plan.top_rows[static_cast<std::size_t>(g)].size()), n, top_back);
-      for (std::size_t k = 0; k < plan.top_rows[static_cast<std::size_t>(g)].size(); ++k)
-        place(plan.top_rows[static_cast<std::size_t>(g)][k], back.view(), static_cast<index_t>(k));
+      const Rows& tops = at(plan.top_rows, g);
+      copy_rows(packed(top_back, tops, n), tops, v_grouped.view(), rows_g, tops);
     }
   }
 
   // --- Reverse phase 1: scatter V rows back to the group members. ----------
   CyclicQr out;
-  if (owns_rows) {
-    std::vector<std::size_t> counts(static_cast<std::size_t>(gcomm.size()));
-    for (int i = 0; i < gcomm.size(); ++i)
-      counts[static_cast<std::size_t>(i)] =
-          static_cast<std::size_t>(cyc.local_count(g + i * plan.Pstar));
+  if (singleton || !owns_rows) {
+    out.V = is_rep ? std::move(v_grouped) : la::Matrix(0, n);
+  } else {
     std::vector<std::vector<double>> blocks;
     if (is_rep) {
-      const auto& rows_g = plan.group_rows[static_cast<std::size_t>(g)];
       blocks.resize(static_cast<std::size_t>(gcomm.size()));
-      for (int i = 0; i < gcomm.size(); ++i) {
-        const int member = g + i * plan.Pstar;
-        std::vector<index_t> member_rows;
-        for (index_t li = 0; li < cyc.local_rows(member); ++li)
-          member_rows.push_back(cyc.global_row(member, li));
-        blocks[static_cast<std::size_t>(i)] =
-            la::to_vector(select_rows(v_grouped, rows_g, member_rows).view());
-      }
+      for (int i = 0; i < gcomm.size(); ++i)
+        blocks[static_cast<std::size_t>(i)] = pack_rows(
+            v_grouped.view(), at(plan.group_rows, g), cyclic_rows(cyc, g + i * plan.Pstar));
     }
-    auto mine = coll::scatter(gcomm, 0, blocks, counts);
+    auto mine = coll::scatter(gcomm, 0, blocks, member_counts);
     out.V = la::from_vector(cyc.local_rows(rr), n, mine);
-  } else {
-    out.V = la::Matrix(0, n);
   }
 
   // --- T and R: scatter from rep 0 (= rcomm rank 0) to row-cyclic. ---------

@@ -138,9 +138,12 @@ class Factorization {
   /// The n x n upper-triangular R factor, row-cyclic.
   const DistMatrix& r() const { return r_; }
 
-  /// Q * X (NoTrans) or Q^H * X (ConjTrans) via the same 3D multiplication
-  /// machinery as the factorization.  Collective; X must be m x k CyclicRows
-  /// on the same communicator (BlockRows inputs are redistributed first).
+  /// Q * X (NoTrans) or Q^H * X (ConjTrans).  Tall-skinny factors
+  /// (m/n >= P) use the 1D multiplications of Lemma 3: V^H X is reduced to
+  /// rank 0 and T (V^H X) broadcast back, so V never moves; other shapes use
+  /// the 3D multiplications of the factorization.  Collective; X must be
+  /// m x k CyclicRows on the same communicator (BlockRows inputs are
+  /// redistributed first).
   DistMatrix apply_q(const DistMatrix& X, la::Op op = la::Op::NoTrans) const;
 
   /// First n columns of Q, materialized as an m x n CyclicRows matrix.
@@ -176,9 +179,9 @@ class Factorization {
 /// argument) so a serving layer and its Solver see one cache with one set of
 /// hit/miss counters.  Solver plans are keyed under the Accurate contract, so
 /// sharing never changes the plans the serving layer resolves for its
-/// fast/balanced jobs.  The key holds no QrOptions, so share a cache only
-/// between Solvers (and a serving layer) built with the same options.  A
-/// Solver may be shared by all ranks of a machine (the cache is mutex-guarded
+/// fast/balanced jobs, and the key holds the options the resolver reads, so
+/// Solvers with different options sharing one cache each run their own
+/// plans.  A Solver may be shared by all ranks of a machine (the cache is mutex-guarded
 /// and resolution is a pure model computation charging no simulated cost),
 /// or constructed per rank — both are safe.
 class Solver {

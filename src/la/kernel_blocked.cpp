@@ -263,12 +263,53 @@ void trmm_blocked(Side side, Uplo uplo, Op op, Diag diag, T alpha, ConstMatrixVi
   }
 }
 
+namespace {
+
+/// Row-panel size for right-side narrow solves: a panel of B's rows across
+/// all n <= TB columns stays within this many bytes, well inside L2.
+constexpr std::size_t kPanelBytes = 256 * 1024;
+
+/// Solve X * op(Tri) = B for a narrow triangle (n <= TB) by row panels that
+/// stay in cache, one column at a time: each update is a contiguous axpy
+/// down a panel column instead of trsm_reference's row walk across columns
+/// ld apart.  Every entry sees the reference's operations in the same order.
+template <class T>
+void trsm_right_narrow(Uplo uplo, Op op, Diag diag, ConstMatrixViewT<T> Tri, MatrixViewT<T> B) {
+  const index_t n = Tri.rows();
+  const bool eff_upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
+  auto t = [&](index_t i, index_t j) -> T {
+    return op == Op::NoTrans ? Tri(i, j) : conj_if(Tri(j, i));
+  };
+  const index_t panel =
+      std::max<index_t>(MR, static_cast<index_t>(kPanelBytes / (sizeof(T) * n)));
+  for (index_t i0 = 0; i0 < B.rows(); i0 += panel) {
+    const index_t rows = std::min(panel, B.rows() - i0);
+    for (index_t step = 0; step < n; ++step) {
+      const index_t j = eff_upper ? step : n - 1 - step;
+      T* bj = &B(i0, j);
+      const index_t lo = eff_upper ? 0 : j + 1;
+      const index_t hi = eff_upper ? j : n;
+      for (index_t l = lo; l < hi; ++l) {
+        const T tlj = t(l, j);
+        const T* bl = &B(i0, l);
+        for (index_t i = 0; i < rows; ++i) bj[i] -= bl[i] * tlj;
+      }
+      if (diag == Diag::NonUnit) {
+        const T tjj = t(j, j);
+        for (index_t i = 0; i < rows; ++i) bj[i] /= tjj;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 template <class T>
 void trsm_blocked(Side side, Uplo uplo, Op op, Diag diag, T alpha, ConstMatrixViewT<T> Tri,
                   MatrixViewT<T> B) {
   const index_t n = Tri.rows();
   const index_t w = (side == Side::Left) ? B.cols() : B.rows();
-  if (n <= TB || w == 0) {
+  if (w == 0 || (n <= TB && side == Side::Left)) {
     trsm_reference<T>(side, uplo, op, diag, alpha, Tri, B);
     return;
   }
@@ -278,8 +319,12 @@ void trsm_blocked(Side side, Uplo uplo, Op op, Diag diag, T alpha, ConstMatrixVi
   if (alpha != T{1}) scale(alpha, B);
 
   auto diag_trsm = [&](index_t I, MatrixViewT<T> BI) {
-    trsm_reference<T>(side, uplo, op, diag, T{1},
-                      Tri.block(bstart(I), bstart(I), blen(n, I), blen(n, I)), BI);
+    const ConstMatrixViewT<T> TII = Tri.block(bstart(I), bstart(I), blen(n, I), blen(n, I));
+    if (side == Side::Right) {
+      trsm_right_narrow<T>(uplo, op, diag, TII, BI);
+    } else {
+      trsm_reference<T>(side, uplo, op, diag, T{1}, TII, BI);
+    }
   };
 
   if (side == Side::Left) {

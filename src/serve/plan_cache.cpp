@@ -85,8 +85,9 @@ void PlanCache::clear() {
   evictions_ = 0;
 }
 
-PlanKey make_plan_key(la::index_t m, la::index_t n, int P, backend::Kind backend,
-                      const sim::CostParams& machine, core::Accuracy accuracy) {
+PlanKey make_plan_key(la::index_t m, la::index_t n, int P, const QrOptions& qr,
+                      backend::Kind backend, const sim::CostParams& machine,
+                      core::Accuracy accuracy) {
   PlanKey key;
   key.m = m;
   key.n = n;
@@ -96,13 +97,19 @@ PlanKey make_plan_key(la::index_t m, la::index_t n, int P, backend::Kind backend
   key.beta = machine.beta;
   key.gamma = machine.gamma;
   key.accuracy = accuracy;
+  key.algorithm = qr.algorithm();
+  key.delta = qr.delta();
+  key.epsilon = qr.epsilon();
+  key.b = qr.block_size();
+  key.b_star = qr.base_block_size();
+  key.tune = qr.tune_for_machine();
   return key;
 }
 
 Plan resolve_shape_plan(la::index_t m, la::index_t n, int P, const QrOptions& qr,
                         PlanCache& cache, backend::Kind kind, const sim::CostParams& machine,
                         core::Accuracy accuracy, double float_flop_scale) {
-  const PlanKey key = make_plan_key(m, n, P, kind, machine, accuracy);
+  const PlanKey key = make_plan_key(m, n, P, qr, kind, machine, accuracy);
   return cache.lookup_or_compute(key, [&]() {
     core::CaqrEg3dOptions params;
     params.b = qr.block_size();

@@ -11,7 +11,8 @@
 // seeing the same shapes over and over should tune each shape exactly once.
 //
 // PlanCache memoizes resolved plans keyed by (m, n, P, backend, machine
-// parameters, accuracy contract); the machine parameters are part of the
+// parameters, accuracy contract, the QrOptions fields the resolver reads);
+// the machine parameters are part of the
 // key so a re-profiled machine (serve::profile_machine) transparently
 // re-tunes instead of serving stale plans.  Inputs are always factored
 // row-cyclically, so the input layout is not part of the key.  It is shared
@@ -54,7 +55,9 @@ namespace qr3d::serve {
 
 /// Cache key: problem shape + executing backend + machine parameters +
 /// accuracy contract (fast and accurate jobs of the same shape resolve to
-/// different algorithms, so they must not share a cache line).
+/// different algorithms, so they must not share a cache line) + every
+/// QrOptions field resolve_shape_plan reads (callers with different options
+/// sharing one cache each get their own plan).
 struct PlanKey {
   la::index_t m = 0;  ///< problem rows
   la::index_t n = 0;  ///< problem columns
@@ -64,12 +67,19 @@ struct PlanKey {
   double beta = 0.0;   ///< machine seconds per word
   double gamma = 0.0;  ///< machine seconds per flop
   core::Accuracy accuracy = core::Accuracy::Balanced;  ///< accuracy/speed contract
+  core::Algorithm algorithm = core::Algorithm::Auto;   ///< QrOptions::algorithm()
+  double delta = 0.0;      ///< QrOptions::delta()
+  double epsilon = 0.0;    ///< QrOptions::epsilon()
+  la::index_t b = 0;       ///< QrOptions::block_size()
+  la::index_t b_star = 0;  ///< QrOptions::base_block_size()
+  bool tune = false;       ///< QrOptions::tune_for_machine()
 
   /// Lexicographic order over every field (std::map key requirement).
   friend bool operator<(const PlanKey& a, const PlanKey& b) {
     auto tie = [](const PlanKey& k) {
       return std::tuple(k.m, k.n, k.P, static_cast<int>(k.backend), k.alpha, k.beta, k.gamma,
-                        static_cast<int>(k.accuracy));
+                        static_cast<int>(k.accuracy), static_cast<int>(k.algorithm), k.delta,
+                        k.epsilon, k.b, k.b_star, k.tune);
     };
     return tie(a) < tie(b);
   }
@@ -152,11 +162,11 @@ class PlanCache {
   std::uint64_t evictions_ = 0;
 };
 
-/// The key resolve_shape_plan caches an (m, n) plan on a P-rank
-/// (sub-)communicator under.  `accuracy` defaults to Balanced — callers pass
-/// the contract so modes resolve (and cache) independently.
-PlanKey make_plan_key(la::index_t m, la::index_t n, int P, backend::Kind backend,
-                      const sim::CostParams& machine,
+/// The key resolve_shape_plan caches an (m, n) plan for options `qr` on a
+/// P-rank (sub-)communicator under.  `accuracy` defaults to Balanced —
+/// callers pass the contract so modes resolve (and cache) independently.
+PlanKey make_plan_key(la::index_t m, la::index_t n, int P, const QrOptions& qr,
+                      backend::Kind backend, const sim::CostParams& machine,
                       core::Accuracy accuracy = core::Accuracy::Balanced);
 
 /// Resolve the execution plan for an (m, n) problem on a P-rank

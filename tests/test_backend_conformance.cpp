@@ -465,6 +465,32 @@ TEST(BackendConformance, SolverFacadeAndLeastSquares) {
   });
 }
 
+// The tall-skinny apply (m/n >= P: Lemma 3's reduce + broadcast, V never
+// moves) round-trips Q (Q^H X) = X, bitwise alike on both backends, for one
+// right-hand side and for k = 2n.
+TEST(BackendConformance, TallApplyQRoundTrip) {
+  const index_t m = 64, n = 4;
+  const int P = 4;
+  la::Matrix A = la::random_matrix(m, n, 910);
+  expect_conformant(P, [&](backend::Comm& c) {
+    const qr3d::Factorization f =
+        qr3d::Solver().factor(qr3d::DistMatrix::from_global(c, A.view()));
+    std::vector<double> out;
+    for (const index_t k : {index_t{1}, 2 * n}) {
+      la::Matrix X = la::random_matrix(m, k, 911 + static_cast<unsigned>(k));
+      const qr3d::DistMatrix Xd = qr3d::DistMatrix::from_global(c, X.view());
+      const qr3d::DistMatrix Y = f.apply_q(Xd, la::Op::ConjTrans);
+      const qr3d::DistMatrix Z = f.apply_q(Y, la::Op::NoTrans);
+      EXPECT_LT(la::diff_norm(Z.local().view(), Xd.local().view()),
+                1e-12 * (1.0 + la::frobenius_norm(Xd.local().view())))
+          << "k = " << k;
+      put(out, Y.local());
+      put(out, Z.local());
+    }
+    return out;
+  });
+}
+
 // --- Wall-clock reporting sanity on the thread backend. ----------------------
 
 TEST(BackendConformance, ThreadMachineReportsWallTime) {

@@ -20,6 +20,7 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -242,6 +243,36 @@ TEST(CostRegression, PlanCacheReuseChargesIdenticallyToFreshTune) {
   }
 }
 
+// Solvers with different options may share one plan cache: the key holds
+// every option field the resolver reads, so each Solver runs its own plan
+// whichever factored first.  At 64 x 32, P = 8: untuned (delta 1/2,
+// epsilon 0) charges 315 msgs / 40608 words, tuned 351 / 40672.
+TEST(CostRegression, SharedCacheKeepsEachSolversOwnPlan) {
+  la::Matrix A = la::random_matrix(64, 32, 77);
+  const qr3d::QrOptions untuned = qr3d::QrOptions().with_delta(0.5).with_epsilon(0.0);
+  const qr3d::QrOptions tuned = qr3d::QrOptions().with_tune_for_machine();
+  const auto cp_of = [&](const qr3d::Solver& solver) {
+    sim::Machine machine(P);
+    machine.run(
+        [&](backend::Comm& c) { solver.factor(qr3d::DistMatrix::from_global(c, A.view())); });
+    return machine.critical_path();
+  };
+  for (const bool tuned_first : {false, true}) {
+    SCOPED_TRACE(tuned_first ? "tuned first" : "untuned first");
+    auto cache = std::make_shared<serve::PlanCache>();
+    const qr3d::Solver a(untuned, cache), b(tuned, cache);
+    const sim::CostClock first = cp_of(tuned_first ? b : a);
+    const sim::CostClock second = cp_of(tuned_first ? a : b);
+    const sim::CostClock& cp_untuned = tuned_first ? second : first;
+    const sim::CostClock& cp_tuned = tuned_first ? first : second;
+    EXPECT_DOUBLE_EQ(cp_untuned.msgs, 315.0);
+    EXPECT_DOUBLE_EQ(cp_untuned.words, 40608.0);
+    EXPECT_DOUBLE_EQ(cp_tuned.msgs, 351.0);
+    EXPECT_DOUBLE_EQ(cp_tuned.words, 40672.0);
+    EXPECT_EQ(cache->misses(), 2u);
+  }
+}
+
 // --- Transport independence. --------------------------------------------------
 
 // The SPSC-channel rewrite of the thread backend (backend/spsc.hpp) lives
@@ -300,6 +331,34 @@ TEST(CostRegression, TsqrCountsArePinned) {
   EXPECT_DOUBLE_EQ(cp.words, 792.0);
   EXPECT_DOUBLE_EQ(tot.msgs_sent, 21.0);
   EXPECT_DOUBLE_EQ(tot.words_sent, 1148.0);
+}
+
+// --- Least squares: factor + solve on both apply paths. ------------------------
+
+// Solver::factor + solve_least_squares critical path, default options, one
+// right-hand side.  At 128 x 16, P = 8 (m/n >= P) the solve applies Q^H with
+// Lemma 3's 1D multiplications — a reduce and a broadcast of n words plus a
+// gather of T, V never moves; the factor alone is 201 msgs / 4288 words.  At
+// 40 x 10, P = 5 (m/n < P) it stays on the 3D multiplications.
+TEST(CostRegression, TallSkinnySolveCountsArePinned) {
+  struct Shape {
+    qr3d::la::index_t m, n;
+    int P;
+    double msgs, words;  ///< pinned factor + solve critical path
+  };
+  for (const Shape sh : {Shape{128, 16, 8, 273, 7078}, Shape{40, 10, 5, 564, 9482}}) {
+    SCOPED_TRACE(std::to_string(sh.m) + "x" + std::to_string(sh.n));
+    la::Matrix A = la::random_matrix(sh.m, sh.n, 31);
+    la::Matrix b = la::random_matrix(sh.m, 1, 32);
+    sim::Machine machine(sh.P);
+    machine.run([&](backend::Comm& c) {
+      const qr3d::Factorization f =
+          qr3d::Solver().factor(qr3d::DistMatrix::from_global(c, A.view()));
+      (void)f.solve_least_squares(qr3d::DistMatrix::from_global(c, b.view()));
+    });
+    EXPECT_DOUBLE_EQ(machine.critical_path().msgs, sh.msgs);
+    EXPECT_DOUBLE_EQ(machine.critical_path().words, sh.words);
+  }
 }
 
 // --- CholeskyQR2: the fast path's communication budget. -----------------------

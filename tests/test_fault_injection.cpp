@@ -287,16 +287,50 @@ TEST(SelfHealingServe, SingleKillRequeuesAndCompletesAllJobs_Thread) {
   EXPECT_GE(st.recovered, 1u);
 }
 
+namespace {
+
+/// The sweep's step classes for `victim`: the first, ~1/4, 1/2, ~3/4 and
+/// last comm op it issues in one clean session of the sweep's four jobs
+/// under `opts`.  Every session runs one job per group, so sessions issue
+/// equal op counts and a traced clean run's count divides evenly.  Deriving
+/// the steps keeps every class inside a session when the algorithms change
+/// how many messages they send.
+std::vector<std::uint64_t> step_classes(serve::ServeOptions opts, int victim) {
+  auto trace = std::make_shared<qr3d::obs::TraceBuffer>();
+  opts.with_trace(trace);
+  serve::BatchSolver srv(opts);
+  std::vector<serve::JobHandle> handles;
+  for (int j = 0; j < 4; ++j) {
+    const Planted p = planted_problem(40, 8, 900 + 2 * static_cast<std::uint64_t>(j));
+    handles.push_back(srv.submit(p.A, p.b));
+  }
+  srv.flush();
+  std::uint64_t ops = 0;
+  for (const auto& e : trace->events())
+    if (e.track == 0 && e.rank == victim &&
+        (e.kind == qr3d::obs::TraceEvent::Kind::Send ||
+         e.kind == qr3d::obs::TraceEvent::Kind::Recv))
+      ++ops;
+  EXPECT_GE(srv.stats().sessions, 1u);
+  const std::uint64_t sessions = std::max<std::uint64_t>(1, srv.stats().sessions);
+  EXPECT_EQ(ops % sessions, 0u) << "sessions issued unequal op counts";
+  const std::uint64_t last = ops / sessions;
+  EXPECT_GE(last, 4u) << "too few comm ops per session for a sweep";
+  return {1, std::max<std::uint64_t>(1, last / 4), last / 2, 3 * last / 4, last};
+}
+
+}  // namespace
+
 TEST(SelfHealingServe, DeterministicFaultSweepCompletesEveryJob) {
   // The sweep the CI smoke pins: kill each rank at each step class on the
   // sim backend; whatever the timing, the BatchSolver must complete 100% of
   // the jobs (recovered or first-try — never failed, never hung).
   const int P = 4;
+  serve::ServeOptions opts;
+  opts.with_ranks(P).with_group_ranks(2).with_qr(
+      qr3d::QrOptions().with_tune_for_machine().with_backend(qr3d::Backend::Simulated));
   for (int victim = 0; victim < P; ++victim) {
-    for (std::uint64_t step : {1u, 5u, 9u, 17u, 33u}) {
-      serve::ServeOptions opts;
-      opts.with_ranks(P).with_group_ranks(2).with_qr(
-          qr3d::QrOptions().with_tune_for_machine().with_backend(qr3d::Backend::Simulated));
+    for (std::uint64_t step : step_classes(opts, victim)) {
       serve::BatchSolver srv(opts);
       srv.machine().set_fault_plan(fault::Plan::kill(victim, step));
 
@@ -456,13 +490,14 @@ TEST(FaultPlan, RandomFaultsPreserveTheKillDraw) {
   }
 }
 
+
 TEST(SelfHealingServe, StallSweepCompletesEveryJob) {
   // The stall-side counterpart of DeterministicFaultSweepCompletesEveryJob
   // (the CI smoke runs both): stall each rank at each step class; with the
   // watchdog armed the BatchSolver must complete 100% of the jobs.
   const int P = 4;
   for (int victim = 0; victim < P; ++victim) {
-    for (std::uint64_t step : {1u, 5u, 9u, 17u, 33u}) {
+    for (std::uint64_t step : step_classes(chaos_opts(qr3d::Backend::Simulated), victim)) {
       SCOPED_TRACE("victim=" + std::to_string(victim) + " step=" + std::to_string(step));
       serve::BatchSolver srv(chaos_opts(qr3d::Backend::Simulated));
       srv.machine().set_fault_plan(fault::Plan::stall(victim, step));

@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <complex>
+#include <string>
+#include <utility>
 
 #include "la/blas.hpp"
 #include "la/checks.hpp"
@@ -479,26 +481,33 @@ class BlockedTriangular
 
 TEST_P(BlockedTriangular, TrmmAndTrsmMatchReference) {
   auto [side, uplo, op, diag] = GetParam();
-  // n = 130 crosses the TB = 64 diagonal-block boundary twice with remainder.
-  const index_t n = 130, w = 37;
-  la::Matrix T = la::random_matrix(n, n, 98);
-  la::make_triangular(uplo, T.view());
-  for (index_t i = 0; i < n; ++i) T(i, i) = 3.0 + 0.01 * static_cast<double>(i);
-  const index_t rows = (side == la::Side::Left) ? n : w;
-  const index_t cols = (side == la::Side::Left) ? w : n;
-  la::Matrix B0 = la::random_matrix(rows, cols, 99);
+  // n = 130 crosses the TB = 64 diagonal-block boundary twice with
+  // remainder.  n = 48 <= TB against 3000 vectors is the tall-B shape of
+  // TSQR's V = W U^-1 and CholeskyQR2's Q = A R^-1: on Side::Right it spans
+  // several 256 KiB row panels of the narrow trsm sweep plus a remainder.
+  for (auto [n, w] : {std::pair<index_t, index_t>{130, 37}, {48, 3000}}) {
+    SCOPED_TRACE("n = " + std::to_string(n) + ", w = " + std::to_string(w));
+    la::Matrix T = la::random_matrix(n, n, 98);
+    la::make_triangular(uplo, T.view());
+    for (index_t i = 0; i < n; ++i) T(i, i) = 3.0 + 0.01 * static_cast<double>(i);
+    const index_t rows = (side == la::Side::Left) ? n : w;
+    const index_t cols = (side == la::Side::Left) ? w : n;
+    la::Matrix B0 = la::random_matrix(rows, cols, 99);
 
-  la::Matrix want = la::copy<double>(B0.view());
-  la::trmm_reference(side, uplo, op, diag, 1.5, la::ConstMatrixView(T.view()), want.view());
-  la::Matrix got = la::copy<double>(B0.view());
-  la::detail::trmm_blocked(side, uplo, op, diag, 1.5, la::ConstMatrixView(T.view()), got.view());
-  EXPECT_LT(rel_diff(got, want), 1e-11);
+    la::Matrix want = la::copy<double>(B0.view());
+    la::trmm_reference(side, uplo, op, diag, 1.5, la::ConstMatrixView(T.view()), want.view());
+    la::Matrix got = la::copy<double>(B0.view());
+    la::detail::trmm_blocked(side, uplo, op, diag, 1.5, la::ConstMatrixView(T.view()),
+                             got.view());
+    EXPECT_LT(rel_diff(got, want), 1e-11);
 
-  want = la::copy<double>(B0.view());
-  la::trsm_reference(side, uplo, op, diag, 0.5, la::ConstMatrixView(T.view()), want.view());
-  got = la::copy<double>(B0.view());
-  la::detail::trsm_blocked(side, uplo, op, diag, 0.5, la::ConstMatrixView(T.view()), got.view());
-  EXPECT_LT(rel_diff(got, want), 1e-11);
+    want = la::copy<double>(B0.view());
+    la::trsm_reference(side, uplo, op, diag, 0.5, la::ConstMatrixView(T.view()), want.view());
+    got = la::copy<double>(B0.view());
+    la::detail::trsm_blocked(side, uplo, op, diag, 0.5, la::ConstMatrixView(T.view()),
+                             got.view());
+    EXPECT_LT(rel_diff(got, want), 1e-11);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

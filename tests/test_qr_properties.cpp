@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "accuracy.hpp"
 #include "qr3d.hpp"
@@ -217,20 +218,29 @@ TEST(DistributionInvariance, TsqrRMatchesAcrossBlockSplits) {
 
 TEST(KernelRebuild, Section23IdentityHoldsForDistributedV) {
   // T = (strict_upper(V^H V) + diag(V^H V)/2)^{-1} rebuilt from the cyclic
-  // basis equals the kernel the factorization produced.
-  const index_t m = 40, n = 10;
-  const int P = 5;
-  la::Matrix A = la::random_matrix(m, n, 41);
-  sim::Machine machine(P);
-  machine.run([&](backend::Comm& c) {
-    core::CyclicQr f = qr_cyclic(c, A);
-    la::Matrix T_rebuilt = core::rebuild_kernel_cyclic(c, f.V, m, n);
-    la::Matrix T1 = gather(c, f.T, n, n);
-    la::Matrix T2 = gather(c, T_rebuilt, n, n);
-    if (c.rank() == 0) {
-      EXPECT_LT(la::diff_norm(T1.view(), T2.view()), 1e-10 * (1.0 + la::frobenius_norm(T1.view())));
-    }
-  });
+  // basis equals the kernel the factorization produced: at 40 x 10, P = 5
+  // (m/n < P) the Gram matrix comes from a 3D multiplication, at 96 x 8,
+  // P = 4 (m/n >= P) from a 1D reduce.
+  struct Shape {
+    index_t m, n;
+    int P;
+  };
+  for (const Shape sh : {Shape{40, 10, 5}, Shape{96, 8, 4}}) {
+    SCOPED_TRACE(std::to_string(sh.m) + "x" + std::to_string(sh.n));
+    const index_t m = sh.m, n = sh.n;
+    la::Matrix A = la::random_matrix(m, n, 41);
+    sim::Machine machine(sh.P);
+    machine.run([&](backend::Comm& c) {
+      core::CyclicQr f = qr_cyclic(c, A);
+      la::Matrix T_rebuilt = core::rebuild_kernel_cyclic(c, f.V, m, n);
+      la::Matrix T1 = gather(c, f.T, n, n);
+      la::Matrix T2 = gather(c, T_rebuilt, n, n);
+      if (c.rank() == 0) {
+        EXPECT_LT(la::diff_norm(T1.view(), T2.view()),
+                  1e-10 * (1.0 + la::frobenius_norm(T1.view())));
+      }
+    });
+  }
 }
 
 TEST(GradedMatrices, AllAlgorithmsStayStableAcrossConditioning) {

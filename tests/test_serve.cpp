@@ -500,7 +500,8 @@ TEST(PlanCache, KeyIncludesMachineParameters) {
   resolve(hpc);  // different machine: its own entry
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_TRUE(cache.contains(serve::make_plan_key(256, 64, 8, backend::Kind::Simulated, hpc)));
+  EXPECT_TRUE(
+      cache.contains(serve::make_plan_key(256, 64, 8, qr, backend::Kind::Simulated, hpc)));
   resolve(cloud);
   EXPECT_EQ(cache.hits(), 1u);
   cache.clear();
@@ -513,7 +514,8 @@ namespace {
 /// Cache-mechanics key for an m x 16 shape on 4 ranks; the plan is a
 /// placeholder (eviction does not look at it).
 serve::PlanKey lru_key(index_t m) {
-  return serve::make_plan_key(m, 16, 4, backend::Kind::Simulated, sim::profiles::cloud());
+  return serve::make_plan_key(m, 16, 4, qr3d::QrOptions(), backend::Kind::Simulated,
+                              sim::profiles::cloud());
 }
 
 void lru_lookup(serve::PlanCache& cache, index_t m) {
