@@ -138,11 +138,11 @@ class Factorization {
   /// The n x n upper-triangular R factor, row-cyclic.
   const DistMatrix& r() const { return r_; }
 
-  /// Q * X (NoTrans) or Q^H * X (ConjTrans).  Tall-skinny factors
-  /// (m/n >= P) use the 1D multiplications of Lemma 3: V^H X is reduced to
-  /// rank 0 and T (V^H X) broadcast back, so V never moves; other shapes use
-  /// the 3D multiplications of the factorization.  Collective; X must be
-  /// m x k CyclicRows on the same communicator (BlockRows inputs are
+  /// Q * X (NoTrans) or Q^H * X (ConjTrans) with the 1D multiplications of
+  /// Lemma 3: V^H X and T (V^H X) travel as n x k blocks, V and T never
+  /// move.  Only wide blocks of large squarish factors on at least 27 ranks
+  /// use the 3D multiplications, which redistribute V.  Collective; X must
+  /// be m x k CyclicRows on the same communicator (BlockRows inputs are
   /// redistributed first).
   DistMatrix apply_q(const DistMatrix& X, la::Op op = la::Op::NoTrans) const;
 

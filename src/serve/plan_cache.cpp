@@ -85,6 +85,22 @@ void PlanCache::clear() {
   evictions_ = 0;
 }
 
+namespace {
+
+/// The recursion parameters a plan for `qr` starts from: its fields through
+/// the Section 1 dispatch.  The only reader of qr's recursion fields, so
+/// the plan key and the resolver see the same request.
+core::CaqrEg3dOptions requested_params(la::index_t m, la::index_t n, int P, const QrOptions& qr) {
+  core::CaqrEg3dOptions params;
+  params.b = qr.block_size();
+  params.b_star = qr.base_block_size();
+  params.delta = qr.delta();
+  params.epsilon = qr.epsilon();
+  return core::resolve_algorithm(m, n, P, qr.algorithm(), params);
+}
+
+}  // namespace
+
 PlanKey make_plan_key(la::index_t m, la::index_t n, int P, const QrOptions& qr,
                       backend::Kind backend, const sim::CostParams& machine,
                       core::Accuracy accuracy) {
@@ -97,12 +113,18 @@ PlanKey make_plan_key(la::index_t m, la::index_t n, int P, const QrOptions& qr,
   key.beta = machine.beta;
   key.gamma = machine.gamma;
   key.accuracy = accuracy;
-  key.algorithm = qr.algorithm();
-  key.delta = qr.delta();
-  key.epsilon = qr.epsilon();
-  key.b = qr.block_size();
-  key.b_star = qr.base_block_size();
+  const core::CaqrEg3dOptions params = requested_params(m, n, P, qr);
+  key.b = params.b;
+  key.b_star = params.b_star;
+  key.delta = params.delta;
+  key.epsilon = params.epsilon;
   key.tune = qr.tune_for_machine();
+  // The tuner replaces epsilon (and, for the full recursion, delta), so
+  // tuned requests differing only there resolve to one plan.
+  if (key.tune && P > 1 && (params.b == 0 || params.b == n)) {
+    key.epsilon = 0.0;
+    if (params.b == 0) key.delta = 0.0;
+  }
   return key;
 }
 
@@ -111,12 +133,7 @@ Plan resolve_shape_plan(la::index_t m, la::index_t n, int P, const QrOptions& qr
                         core::Accuracy accuracy, double float_flop_scale) {
   const PlanKey key = make_plan_key(m, n, P, qr, kind, machine, accuracy);
   return cache.lookup_or_compute(key, [&]() {
-    core::CaqrEg3dOptions params;
-    params.b = qr.block_size();
-    params.b_star = qr.base_block_size();
-    params.delta = qr.delta();
-    params.epsilon = qr.epsilon();
-    params = core::resolve_algorithm(m, n, P, qr.algorithm(), params);
+    const core::CaqrEg3dOptions params = requested_params(m, n, P, qr);
     Plan plan;
     plan.delta = params.delta;
     plan.epsilon = params.epsilon;

@@ -11,11 +11,11 @@
 // seeing the same shapes over and over should tune each shape exactly once.
 //
 // PlanCache memoizes resolved plans keyed by (m, n, P, backend, machine
-// parameters, accuracy contract, the QrOptions fields the resolver reads);
-// the machine parameters are part of the
-// key so a re-profiled machine (serve::profile_machine) transparently
-// re-tunes instead of serving stale plans.  Inputs are always factored
-// row-cyclically, so the input layout is not part of the key.  It is shared
+// parameters, accuracy contract, the recursion parameters the options
+// request); the machine parameters are part of the key so a re-profiled
+// machine (serve::profile_machine) transparently re-tunes instead of
+// serving stale plans.  Inputs are always factored row-cyclically, so the
+// input layout is not part of the key.  It is shared
 // infrastructure: qr3d::Solver::factor resolves its (accurate-contract)
 // plans through one (each Solver owns a private cache unless given a shared
 // one), and serve::BatchSolver shares a single cache between its
@@ -55,9 +55,10 @@ namespace qr3d::serve {
 
 /// Cache key: problem shape + executing backend + machine parameters +
 /// accuracy contract (fast and accurate jobs of the same shape resolve to
-/// different algorithms, so they must not share a cache line) + every
-/// QrOptions field resolve_shape_plan reads (callers with different options
-/// sharing one cache each get their own plan).
+/// different algorithms, so they must not share a cache line) + the
+/// recursion parameters the options request after the Section 1 dispatch
+/// (callers with different options sharing one cache each get their own
+/// plan).  With tuning, the parameters the tuner chooses are zeroed.
 struct PlanKey {
   la::index_t m = 0;  ///< problem rows
   la::index_t n = 0;  ///< problem columns
@@ -67,19 +68,18 @@ struct PlanKey {
   double beta = 0.0;   ///< machine seconds per word
   double gamma = 0.0;  ///< machine seconds per flop
   core::Accuracy accuracy = core::Accuracy::Balanced;  ///< accuracy/speed contract
-  core::Algorithm algorithm = core::Algorithm::Auto;   ///< QrOptions::algorithm()
-  double delta = 0.0;      ///< QrOptions::delta()
-  double epsilon = 0.0;    ///< QrOptions::epsilon()
-  la::index_t b = 0;       ///< QrOptions::block_size()
-  la::index_t b_star = 0;  ///< QrOptions::base_block_size()
+  la::index_t b = 0;       ///< requested recursion threshold (b = n: base case)
+  la::index_t b_star = 0;  ///< requested base-case threshold
+  double delta = 0.0;      ///< requested delta (0 when the tuner picks it)
+  double epsilon = 0.0;    ///< requested epsilon (0 when the tuner picks it)
   bool tune = false;       ///< QrOptions::tune_for_machine()
 
   /// Lexicographic order over every field (std::map key requirement).
   friend bool operator<(const PlanKey& a, const PlanKey& b) {
     auto tie = [](const PlanKey& k) {
       return std::tuple(k.m, k.n, k.P, static_cast<int>(k.backend), k.alpha, k.beta, k.gamma,
-                        static_cast<int>(k.accuracy), static_cast<int>(k.algorithm), k.delta,
-                        k.epsilon, k.b, k.b_star, k.tune);
+                        static_cast<int>(k.accuracy), k.b, k.b_star, k.delta, k.epsilon,
+                        k.tune);
     };
     return tie(a) < tie(b);
   }

@@ -465,9 +465,9 @@ TEST(BackendConformance, SolverFacadeAndLeastSquares) {
   });
 }
 
-// The tall-skinny apply (m/n >= P: Lemma 3's reduce + broadcast, V never
-// moves) round-trips Q (Q^H X) = X, bitwise alike on both backends, for one
-// right-hand side and for k = 2n.
+// The 1D apply (Lemma 3's multiplications on T's row-cyclic slices, V and T
+// never move) of a tall-skinny factor round-trips Q (Q^H X) = X, bitwise
+// alike on both backends, for one right-hand side and for k = 2n.
 TEST(BackendConformance, TallApplyQRoundTrip) {
   const index_t m = 64, n = 4;
   const int P = 4;

@@ -27,11 +27,13 @@
 #include "backend/comm.hpp"
 #include "backend/thread_machine.hpp"
 #include "coll/coll.hpp"
+#include "core/api.hpp"
 #include "core/cholesky_qr2.hpp"
 #include "core/dist_matrix.hpp"
 #include "core/solver.hpp"
 #include "cost/model.hpp"
 #include "core/tsqr.hpp"
+#include "la/checks.hpp"
 #include "la/random.hpp"
 #include "serve/batch_solver.hpp"
 #include "serve/plan_cache.hpp"
@@ -333,20 +335,19 @@ TEST(CostRegression, TsqrCountsArePinned) {
   EXPECT_DOUBLE_EQ(tot.words_sent, 1148.0);
 }
 
-// --- Least squares: factor + solve on both apply paths. ------------------------
+// --- Least squares: factor + solve, and both apply paths. ----------------------
 
 // Solver::factor + solve_least_squares critical path, default options, one
-// right-hand side.  At 128 x 16, P = 8 (m/n >= P) the solve applies Q^H with
-// Lemma 3's 1D multiplications — a reduce and a broadcast of n words plus a
-// gather of T, V never moves; the factor alone is 201 msgs / 4288 words.  At
-// 40 x 10, P = 5 (m/n < P) it stays on the 3D multiplications.
+// right-hand side.  Both shapes apply Q^H with Lemma 3's 1D multiplications:
+// a reduce-scatter and an all-reduce of n words, V and T never move.  At
+// 128 x 16, P = 8 the factor alone is 201 msgs / 4288 words.
 TEST(CostRegression, TallSkinnySolveCountsArePinned) {
   struct Shape {
     qr3d::la::index_t m, n;
     int P;
     double msgs, words;  ///< pinned factor + solve critical path
   };
-  for (const Shape sh : {Shape{128, 16, 8, 273, 7078}, Shape{40, 10, 5, 564, 9482}}) {
+  for (const Shape sh : {Shape{128, 16, 8, 255, 5826}, Shape{40, 10, 5, 456, 6549}}) {
     SCOPED_TRACE(std::to_string(sh.m) + "x" + std::to_string(sh.n));
     la::Matrix A = la::random_matrix(sh.m, sh.n, 31);
     la::Matrix b = la::random_matrix(sh.m, 1, 32);
@@ -358,6 +359,47 @@ TEST(CostRegression, TallSkinnySolveCountsArePinned) {
     });
     EXPECT_DOUBLE_EQ(machine.critical_path().msgs, sh.msgs);
     EXPECT_DOUBLE_EQ(machine.critical_path().words, sh.words);
+  }
+}
+
+// apply_q_cyclic's two paths on one small squarish factor (40 x 10, P = 5),
+// Q (Q^H X) for k = 1 and k = n: both round-trip X, and the 1D path moves a
+// fraction of the 3D path's words in a seventh of its messages.  The 3D
+// path only runs on shapes too large for a unit test, so it is pinned here.
+TEST(CostRegression, ApplyQPathsArePinned) {
+  const qr3d::la::index_t m = 40, n = 10;
+  const int ranks = 5;
+  la::Matrix A = la::random_matrix(m, n, 41);
+  la::Matrix V, T;
+  sim::Machine one(1);
+  one.run([&](backend::Comm& c) {
+    const qr3d::core::CyclicQr f = qr3d::core::caqr_eg_3d(c, A.view(), m, n);
+    V = f.V;
+    T = f.T;
+  });
+  struct Pin {
+    qr3d::la::index_t k;
+    bool three_d;
+    double msgs, words;
+  };
+  for (const Pin pin : {Pin{1, false, 36, 128}, Pin{1, true, 252, 5802}, Pin{n, false, 36, 1280},
+                        Pin{n, true, 252, 11881}}) {
+    SCOPED_TRACE(std::string(pin.three_d ? "3D" : "1D") + " k=" + std::to_string(pin.k));
+    la::Matrix X = la::random_matrix(m, pin.k, 42);
+    sim::Machine machine(ranks);
+    machine.run([&](backend::Comm& c) {
+      const la::Matrix Vl = qr3d::DistMatrix::local_of(c, V.view());
+      const la::Matrix Tl = qr3d::DistMatrix::local_of(c, T.view());
+      const la::Matrix Xl = qr3d::DistMatrix::local_of(c, X.view());
+      const auto apply = [&](const la::Matrix& Y, la::Op op) {
+        return pin.three_d ? qr3d::core::detail::apply_q_3d(c, Vl, Tl, m, n, Y, pin.k, op)
+                           : qr3d::core::detail::apply_q_1d(c, Vl, Tl, n, Y, pin.k, op);
+      };
+      const la::Matrix Z = apply(apply(Xl, la::Op::ConjTrans), la::Op::NoTrans);
+      EXPECT_LT(la::diff_norm(Z.view(), Xl.view()), 1e-12 * (1.0 + la::frobenius_norm(X.view())));
+    });
+    EXPECT_DOUBLE_EQ(machine.critical_path().msgs, pin.msgs);
+    EXPECT_DOUBLE_EQ(machine.critical_path().words, pin.words);
   }
 }
 

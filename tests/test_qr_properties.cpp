@@ -218,9 +218,9 @@ TEST(DistributionInvariance, TsqrRMatchesAcrossBlockSplits) {
 
 TEST(KernelRebuild, Section23IdentityHoldsForDistributedV) {
   // T = (strict_upper(V^H V) + diag(V^H V)/2)^{-1} rebuilt from the cyclic
-  // basis equals the kernel the factorization produced: at 40 x 10, P = 5
-  // (m/n < P) the Gram matrix comes from a 3D multiplication, at 96 x 8,
-  // P = 4 (m/n >= P) from a 1D reduce.
+  // basis equals the kernel the factorization produced, both for the 3D
+  // recursion's T (40 x 10, P = 5) and for the tall-skinny base case's
+  // (96 x 8, P = 4).
   struct Shape {
     index_t m, n;
     int P;

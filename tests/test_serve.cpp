@@ -509,6 +509,32 @@ TEST(PlanCache, KeyIncludesMachineParameters) {
   EXPECT_EQ(cache.hits(), 0u);
 }
 
+TEST(PlanCache, KeyHoldsTheRequestedRecursionParameters) {
+  serve::PlanCache cache;
+  const sim::CostParams hpc = sim::profiles::hpc_fabric();
+  auto resolve = [&](index_t m, const qr3d::QrOptions& qr) {
+    return serve::resolve_shape_plan(m, 64, 8, qr, cache, backend::Kind::Simulated, hpc);
+  };
+  // 256 x 64 on 8 ranks runs the full recursion: untuned requests for
+  // different delta get their own plans, tuned ones share the tuner's.
+  resolve(256, qr3d::QrOptions().with_delta(0.5));
+  resolve(256, qr3d::QrOptions().with_delta(0.6));
+  EXPECT_EQ(cache.misses(), 2u);
+  const serve::Plan tuned = resolve(256, qr3d::QrOptions().with_tune_for_machine().with_delta(0.5));
+  const serve::Plan again =
+      resolve(256, qr3d::QrOptions().with_tune_for_machine().with_delta(0.6).with_epsilon(0.0));
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_DOUBLE_EQ(again.delta, tuned.delta);
+  EXPECT_DOUBLE_EQ(again.epsilon, tuned.epsilon);
+  // 1024 x 64 on 8 ranks is tall-skinny: Auto and a forced base case
+  // request the same b = n.
+  resolve(1024, qr3d::QrOptions());
+  resolve(1024, qr3d::QrOptions().with_algorithm(qr3d::Algorithm::BaseCase));
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.hits(), 2u);
+}
+
 namespace {
 
 /// Cache-mechanics key for an m x 16 shape on 4 ranks; the plan is a
