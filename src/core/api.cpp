@@ -5,8 +5,7 @@
 #include "la/triangular.hpp"
 #include "coll/coll.hpp"
 #include "mm/mm_1d.hpp"
-#include "mm/mm_3d.hpp"
-#include "mm/redistribute.hpp"
+#include "mm/layout.hpp"
 
 namespace qr3d::core {
 
@@ -16,20 +15,6 @@ namespace {
 /// the base case of the factorization.
 bool tall_skinny(la::index_t m, la::index_t n, int P) {
   return m / std::max<la::index_t>(1, n) >= P;
-}
-
-/// Whether applying Q to an m x k block takes the 1D path.  The 3D path
-/// redistributes V and X three times; its bandwidth saving pays only on wide
-/// blocks of large squarish factors on at least 27 ranks.  Simulated critical-path words of Q (Q^H X), 1D / 3D: 40x10 P=5
-/// k=10 0.11; 512x512 P=8 k=512 0.64; 1024x1024 P=8 k=1024 0.64; 512x512
-/// P=64 k=512 0.51; 1024x1024 P=64 k=512 0.71 and k=1024 1.18; 512x512 P=27
-/// k=512 1.27; 768x768 P=27 k=768 1.43; 1024x1024 P=27 k=256 0.78, k=512
-/// 1.10 and k=1024 1.51; every k <= n/8 below 0.25.
-bool apply_in_1d(la::index_t m, la::index_t n, la::index_t k, int P) {
-  constexpr double kMin3dVolumePerRank = 16777216.0;  // 2^24 multiply-adds
-  return tall_skinny(m, n, P) || P < 27 ||
-         static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k) <
-             kMin3dVolumePerRank * P;
 }
 
 /// This rank's share of `full` under a row-cyclic layout, packed
@@ -61,19 +46,21 @@ CaqrEg3dOptions resolve_algorithm(la::index_t m, la::index_t n, int P, Algorithm
   return params;
 }
 
-namespace detail {
-
-/// The 1D path of apply_q_cyclic: Lemma 3's multiplications.  V and X share
-/// one row-cyclic layout, so V never moves; neither does T, whose row-cyclic
-/// slices multiply M1 = V^H X in place:
-///   Q X:    all-reduce M1; my rows of M2 = T M1; all-gather M2.
-///   Q^H X:  reduce-scatter M1 to my rows; my part of M2 = T^H M1 summed by
-///           an all-reduce.
-/// Then each rank subtracts its rows of V M2.  Every collective carries n x k
-/// words.
-la::Matrix apply_q_1d(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
-                      la::index_t n, const la::Matrix& X_local, la::index_t k, la::Op op) {
+// Lemma 3's multiplications.  V and X share one row-cyclic layout, so V
+// never moves; neither does T, whose row-cyclic slices multiply M1 = V^H X in
+// place:
+//   Q X:    all-reduce M1; my rows of M2 = T M1; all-gather M2.
+//   Q^H X:  reduce-scatter M1 to my rows; my part of M2 = T^H M1 summed by an
+//           all-reduce.
+// Then each rank subtracts its rows of V M2.  Every collective carries n x k
+// words.
+la::Matrix apply_q_cyclic(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
+                          la::index_t m, la::index_t n, const la::Matrix& X_local, la::index_t k,
+                          la::Op op) {
   const int P = comm.size();
+  QR3D_CHECK(X_local.rows() == mm::CyclicRows(m, k, P, 0).local_rows(comm.rank()) &&
+                 X_local.cols() == k,
+             "apply_q_cyclic: X layout mismatch");
   const mm::CyclicRows lay_nk(n, k, P, 0);
   la::Matrix M1(n, k);
   la::gemm(1.0, la::Op::ConjTrans, la::ConstMatrixView(V_local.view()), la::Op::NoTrans,
@@ -114,51 +101,6 @@ la::Matrix apply_q_1d(backend::Comm& comm, const la::Matrix& V_local, const la::
            la::ConstMatrixView(M2.view()), 1.0, Y.view());
   comm.charge_flops(la::flops::gemm(V_local.rows(), k, n));
   return Y;
-}
-
-/// The 3D path of apply_q_cyclic: three 3D multiplications, each
-/// redistributing V.
-la::Matrix apply_q_3d(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
-                      la::index_t m, la::index_t n, const la::Matrix& X_local, la::index_t k,
-                      la::Op op) {
-  const int P = comm.size();
-  const mm::CyclicRows lay_x(m, k, P, 0);
-  const mm::CyclicRows lay_v(m, n, P, 0);
-  const mm::CyclicRows lay_nk(n, k, P, 0);
-  const mm::CyclicRows lay_t(n, n, P, 0);
-  const mm::CyclicCols lay_vh(n, m, P, 0);
-  const mm::CyclicCols lay_th(n, n, P, 0);
-  // M1 = V^H X  (n x k).
-  auto m1 = mm::mm_3d(comm, n, k, m, lay_vh, la::to_vector_rowmajor(V_local.view()), lay_x,
-                      la::to_vector(X_local.view()), lay_nk);
-  // M2 = op(T) M1.
-  std::vector<double> m2;
-  if (op == la::Op::NoTrans) {
-    m2 = mm::mm_3d(comm, n, k, n, lay_t, la::to_vector(T_local.view()), lay_nk, m1, lay_nk);
-  } else {
-    m2 = mm::mm_3d(comm, n, k, n, lay_th, la::to_vector_rowmajor(T_local.view()), lay_nk, m1,
-                   lay_nk);
-  }
-  // Y = X - V M2.
-  auto vm2 = mm::mm_3d(comm, m, k, n, lay_v, la::to_vector(V_local.view()), lay_nk, m2, lay_x);
-  la::Matrix Y = mm::unpack_rows(lay_x, comm.rank(), vm2);
-  la::scale(-1.0, Y.view());
-  la::add(1.0, la::ConstMatrixView(X_local.view()), Y.view());
-  comm.charge_flops(la::flops::add(X_local.rows(), k));
-  return Y;
-}
-
-}  // namespace detail
-
-la::Matrix apply_q_cyclic(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
-                          la::index_t m, la::index_t n, const la::Matrix& X_local, la::index_t k,
-                          la::Op op) {
-  const int P = comm.size();
-  QR3D_CHECK(X_local.rows() == mm::CyclicRows(m, k, P, 0).local_rows(comm.rank()) &&
-                 X_local.cols() == k,
-             "apply_q_cyclic: X layout mismatch");
-  if (apply_in_1d(m, n, k, P)) return detail::apply_q_1d(comm, V_local, T_local, n, X_local, k, op);
-  return detail::apply_q_3d(comm, V_local, T_local, m, n, X_local, k, op);
 }
 
 la::Matrix rebuild_kernel_cyclic(backend::Comm& comm, const la::Matrix& V_local, la::index_t m,

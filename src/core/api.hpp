@@ -8,8 +8,7 @@
 //                          serve::resolve_shape_plan (the single plan
 //                          resolver behind Solver::factor and serving).
 //   * apply_q_cyclic     — apply Q or Q^H to a row-cyclic block of vectors
-//                          (1D multiplications unless the block is wide,
-//                          the factor large and squarish and P >= 27).
+//                          with Lemma 3's 1D multiplications.
 //   * rebuild_kernel_cyclic — the Section 2.3 "T need not be stored" rebuild.
 #pragma once
 
@@ -55,12 +54,9 @@ CaqrEg3dOptions resolve_algorithm(la::index_t m, la::index_t n, int P, Algorithm
 
 /// X := Q * X (op = NoTrans) or Q^H * X (op = ConjTrans), where Q is given by
 /// the row-cyclic Householder factors (V_local, T_local) of an m x n matrix
-/// and X is a row-cyclic m x k block.  V, T and X share one layout, so the
-/// 1D path (Lemma 3's multiplications) moves neither V nor T: three
-/// collectives of n x k words.  Only wide blocks of large squarish factors
-/// on at least 27 ranks (m/n < P, m n k >= 2^24 P) take the 3D path, which
-/// redistributes V; api.cpp lists the measured counts behind the cut.
-/// Collective; returns this rank's rows of the result.
+/// and X is a row-cyclic m x k block.  V, T and X share one layout, so
+/// Lemma 3's 1D multiplications move neither V nor T: three collectives of
+/// n x k words.  Collective; returns this rank's rows of the result.
 la::Matrix apply_q_cyclic(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
                           la::index_t m, la::index_t n, const la::Matrix& X_local, la::index_t k,
                           la::Op op);
@@ -73,17 +69,5 @@ la::Matrix apply_q_cyclic(backend::Comm& comm, const la::Matrix& V_local, const 
 /// never stores T.
 la::Matrix rebuild_kernel_cyclic(backend::Comm& comm, const la::Matrix& V_local, la::index_t m,
                                  la::index_t n);
-
-namespace detail {
-
-/// apply_q_cyclic's two paths, exposed so tests can run each on small
-/// shapes.  Same arguments and result as apply_q_cyclic.
-la::Matrix apply_q_1d(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
-                      la::index_t n, const la::Matrix& X_local, la::index_t k, la::Op op);
-la::Matrix apply_q_3d(backend::Comm& comm, const la::Matrix& V_local, const la::Matrix& T_local,
-                      la::index_t m, la::index_t n, const la::Matrix& X_local, la::index_t k,
-                      la::Op op);
-
-}  // namespace detail
 
 }  // namespace qr3d::core

@@ -29,25 +29,9 @@ QrOptions& QrOptions::with_epsilon(double e) {
   return *this;
 }
 
-QrOptions& QrOptions::with_block_size(la::index_t b) {
-  QR3D_CHECK(b >= 0, "QrOptions: block size must be >= 0 (0 = derive from delta)");
-  b_ = b;
-  return *this;
-}
-
-QrOptions& QrOptions::with_base_block_size(la::index_t b_star) {
-  QR3D_CHECK(b_star >= 0, "QrOptions: base block size must be >= 0 (0 = derive from epsilon)");
-  b_star_ = b_star;
-  return *this;
-}
-
 void QrOptions::validate(la::index_t m, la::index_t n, int P) const {
   QR3D_CHECK(P >= 1, "QrOptions: need at least one rank");
   QR3D_CHECK(m >= n && n >= 1, "QrOptions: need m >= n >= 1 (overdetermined or square)");
-  QR3D_CHECK(b_ <= n, "QrOptions: block size b must not exceed n");
-  QR3D_CHECK(b_star_ <= n, "QrOptions: base block size b* must not exceed n");
-  QR3D_CHECK(b_ == 0 || b_star_ == 0 || b_star_ <= b_,
-             "QrOptions: base block size b* must not exceed the threshold b");
 }
 
 // ---------------------------------------------------------------------------
@@ -80,10 +64,8 @@ Factorization Solver::factor(const DistMatrix& A, const serve::Plan& plan) const
 
   core::CaqrEg3dOptions params;
   params.b = plan.b;
-  params.b_star = plan.b_star;
   params.delta = plan.delta;
   params.epsilon = plan.epsilon;
-  params.alltoall_alg = opts_.alltoall();
   // The plan *is* the resolved choice.  Tuned (delta, epsilon) may lie
   // anywhere in the tuner's [0, 1] grid (the Theorem 1/2 ranges are an
   // option-setter constraint, not an algorithmic one).

@@ -19,7 +19,6 @@
 #include <memory>
 
 #include "backend/machine.hpp"
-#include "coll/coll.hpp"
 #include "core/api.hpp"
 #include "core/dist_matrix.hpp"
 #include "la/blas.hpp"
@@ -59,20 +58,11 @@ class QrOptions {
   QrOptions& with_delta(double d);
   /// Theorem 2 tradeoff for the base case; the analyzed range is [0, 1].
   QrOptions& with_epsilon(double e);
-  /// Recursion threshold override; 0 derives b from delta (Eq. 12).
-  QrOptions& with_block_size(la::index_t b);
-  /// Base-case threshold override; 0 derives b* from epsilon (Eq. 12).
-  QrOptions& with_base_block_size(la::index_t b_star);
   /// Pick (delta, epsilon) for the machine's (alpha, beta, gamma) instead of
   /// the Theorem 1 defaults (Theorem 2's epsilon alone for tall-skinny
   /// shapes).  The Solver caches the tuning per shape.
   QrOptions& with_tune_for_machine(bool on = true) {
     tune_for_machine_ = on;
-    return *this;
-  }
-  /// all-to-all variant for the dmm-layout redistributions.
-  QrOptions& with_alltoall(coll::Alg alg) {
-    alltoall_ = alg;
     return *this;
   }
   /// Execution backend for machines built via qr3d::make_machine(opts, ...).
@@ -95,15 +85,11 @@ class QrOptions {
   Algorithm algorithm() const { return algorithm_; }          ///< dispatch choice
   double delta() const { return delta_; }                     ///< Theorem 1 tradeoff
   double epsilon() const { return epsilon_; }                 ///< Theorem 2 tradeoff
-  la::index_t block_size() const { return b_; }               ///< pinned b (0 = derive)
-  la::index_t base_block_size() const { return b_star_; }     ///< pinned b* (0 = derive)
   bool tune_for_machine() const { return tune_for_machine_; } ///< machine tuning on?
-  coll::Alg alltoall() const { return alltoall_; }            ///< all-to-all variant
   Backend backend() const { return backend_; }                ///< machine factory kind
   Accuracy accuracy() const { return accuracy_; }             ///< accuracy/speed contract
 
-  /// Problem-dependent validation: shape (m >= n >= 1, P >= 1) and threshold
-  /// ordering (b <= n, b* <= n, b* <= b when both are pinned).  Called by
+  /// Problem-dependent validation: shape (m >= n >= 1, P >= 1).  Called by
   /// Solver::factor; throws std::invalid_argument.
   void validate(la::index_t m, la::index_t n, int P) const;
 
@@ -111,10 +97,7 @@ class QrOptions {
   Algorithm algorithm_ = Algorithm::Auto;
   double delta_ = 2.0 / 3.0;
   double epsilon_ = 1.0;
-  la::index_t b_ = 0;
-  la::index_t b_star_ = 0;
   bool tune_for_machine_ = false;
-  coll::Alg alltoall_ = coll::Alg::Auto;
   Backend backend_ = Backend::Simulated;
   Accuracy accuracy_ = Accuracy::Balanced;
 };
@@ -140,10 +123,8 @@ class Factorization {
 
   /// Q * X (NoTrans) or Q^H * X (ConjTrans) with the 1D multiplications of
   /// Lemma 3: V^H X and T (V^H X) travel as n x k blocks, V and T never
-  /// move.  Only wide blocks of large squarish factors on at least 27 ranks
-  /// use the 3D multiplications, which redistribute V.  Collective; X must
-  /// be m x k CyclicRows on the same communicator (BlockRows inputs are
-  /// redistributed first).
+  /// move.  Collective; X must be m x k CyclicRows on the same communicator
+  /// (BlockRows inputs are redistributed first).
   DistMatrix apply_q(const DistMatrix& X, la::Op op = la::Op::NoTrans) const;
 
   /// First n columns of Q, materialized as an m x n CyclicRows matrix.
@@ -207,11 +188,6 @@ class Solver {
   /// through the shared cache and pins them here, so repeated shapes never
   /// re-tune.
   Factorization factor(const DistMatrix& A, const serve::Plan& plan) const;
-
-  /// One-shot overload with per-call options.
-  Factorization factor(const DistMatrix& A, const QrOptions& opts) const {
-    return Solver(opts).factor(A);
-  }
 
  private:
   QrOptions opts_;

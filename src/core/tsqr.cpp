@@ -3,12 +3,12 @@
 #include <cmath>
 #include <vector>
 
+#include "coll/coll.hpp"
 #include "la/blas.hpp"
 #include "la/flops.hpp"
 #include "la/householder.hpp"
 #include "la/lu.hpp"
 #include "la/packing.hpp"
-#include "la/qr_eg_serial.hpp"
 #include "la/triangular.hpp"
 
 namespace qr3d::core {
@@ -27,7 +27,7 @@ struct TreeNode {
 
 }  // namespace
 
-DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local, TsqrOptions opts) {
+DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local) {
   const int P = comm.size();
   const int me = comm.rank();
   const la::index_t mp = A_local.rows();
@@ -35,19 +35,11 @@ DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local, TsqrOptions
   QR3D_CHECK(mp >= n, "tsqr: every rank needs at least n rows (m/n >= P)");
 
   // --- Upsweep: local QR, then binomial reduction of R-factors. ------------
-  la::Matrix V0, T0, R;
-  if (opts.local_recursive_threshold > 0) {
-    la::QrFactors f = la::qr_factor_recursive<double>(A_local, opts.local_recursive_threshold);
-    V0 = std::move(f.V);
-    T0 = std::move(f.T_);
-    R = std::move(f.R);
-  } else {
-    la::Matrix F = la::copy<double>(A_local);
-    T0 = la::Matrix(n, n);
-    la::geqrt(F.view(), T0.view());
-    V0 = la::extract_v<double>(F.view());
-    R = la::extract_r<double>(F.view());
-  }
+  la::Matrix F = la::copy<double>(A_local);
+  la::Matrix T0(n, n);
+  la::geqrt(F.view(), T0.view());
+  const la::Matrix V0 = la::extract_v<double>(F.view());
+  la::Matrix R = la::extract_r<double>(F.view());
   comm.charge_flops(la::flops::geqrt(mp, n));
 
   std::vector<TreeNode> nodes;  // combines at this rank, in upsweep order
@@ -129,7 +121,7 @@ DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local, TsqrOptions
     u_flat = la::to_vector(lu.U.view());
   }
 
-  coll::broadcast(comm, 0, u_flat, opts.u_bcast_alg);
+  coll::broadcast(comm, 0, u_flat, coll::Alg::Binomial);
   if (me != 0) {
     la::Matrix U = la::from_vector(n, n, u_flat);
     out.V = std::move(W);

@@ -8,36 +8,26 @@
 //
 // Structure (communication pattern = binomial-tree reduce then broadcast,
 // with local QR / Q-application instead of elementwise arithmetic):
-//   1. upsweep   — local QR, then a binomial reduction combining pairs of
-//                  packed n x n R-factors by QR of their 2n x n stack;
+//   1. upsweep   — local QR (geqrt), then a binomial reduction combining
+//                  pairs of packed n x n R-factors by QR of their 2n x n
+//                  stack;
 //   2. downsweep — apply the stored tree Q-factors to identity columns,
 //                  recovering W = explicit leading n columns of the tree Q;
 //   3. reconstruction — on the root, the sign-shifted LU X + S = L U of W's
 //                  top block yields V = [L; W_2 U^{-1}], T = U S^H L^{-H},
-//                  R := -S^H R ([BDG+15] Lemma 6.2); U is broadcast so every
-//                  rank finishes its rows of V locally.
+//                  R := -S^H R ([BDG+15] Lemma 6.2); U is broadcast down a
+//                  binomial tree so every rank finishes its rows of V
+//                  locally.
 #pragma once
 
-#include "coll/coll.hpp"
 #include "core/qr_result.hpp"
 #include "la/matrix.hpp"
 #include "backend/comm.hpp"
 
 namespace qr3d::core {
 
-struct TsqrOptions {
-  /// Algorithm for the final broadcast of U (the paper uses the binomial
-  /// tree; the upsweep/downsweep trees are inherently binomial because their
-  /// block contents change at every node — this is the log P bandwidth
-  /// factor 1D-CAQR-EG removes).
-  coll::Alg u_bcast_alg = coll::Alg::Binomial;
-  /// Local QR kernel: 0 = unblocked geqrt; > 0 = the serial recursive
-  /// Elmroth-Gustavson factorization (Section 2.4) with this threshold.
-  la::index_t local_recursive_threshold = 0;
-};
-
 /// Collective over `comm`; see file comment for the data-distribution
 /// contract.  Root is rank 0.
-DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local, TsqrOptions opts = {});
+DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local);
 
 }  // namespace qr3d::core

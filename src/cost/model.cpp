@@ -42,8 +42,6 @@ Costs all_to_all(double B, double Bstar, int P) {
 
 // --- Matrix multiplication. ----------------------------------------------------
 
-Costs mm_local(double I, double J, double K) { return {2.0 * I * J * K, 0.0, 0.0}; }
-
 Costs mm_1d(double I, double J, double K, int P) {
   // Lemma 3: local work + one reduce/broadcast of the two smaller dims.
   const double maxdim = std::max({I, J, K});

@@ -37,7 +37,6 @@ Costs reduce_scatter(double B, int P);
 Costs all_to_all(double B, double Bstar, int P);
 
 // --- Matrix multiplication (Lemmas 2-4). ------------------------------------
-Costs mm_local(double I, double J, double K);
 Costs mm_1d(double I, double J, double K, int P);
 Costs mm_3d(double I, double J, double K, int P);
 

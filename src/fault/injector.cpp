@@ -24,10 +24,6 @@ Plan Plan::random_kills(int P, int kills, std::uint64_t max_step, std::uint64_t 
   return random_faults(P, kills, 0, max_step, seed);
 }
 
-Plan Plan::random_stalls(int P, int stalls, std::uint64_t max_step, std::uint64_t seed) {
-  return random_faults(P, 0, stalls, max_step, seed);
-}
-
 Plan Plan::random_faults(int P, int kills, int stalls, std::uint64_t max_step,
                          std::uint64_t seed) {
   QR3D_CHECK(P >= 1, "fault::Plan::random_faults: need at least one rank");

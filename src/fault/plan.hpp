@@ -73,10 +73,6 @@ struct Plan {
   /// (splitmix64), so a "random" sweep is exactly reproducible.
   static Plan random_kills(int P, int kills, std::uint64_t max_step, std::uint64_t seed);
 
-  /// Seeded random plan of stalls only: `stalls` distinct ranks, each
-  /// stalled at a step drawn uniformly from [1, max_step].
-  static Plan random_stalls(int P, int stalls, std::uint64_t max_step, std::uint64_t seed);
-
   /// Seeded random mixed plan: `kills` + `stalls` DISTINCT ranks (a rank is
   /// killed or stalled, never both), steps drawn uniformly from
   /// [1, max_step].  random_faults(P, k, 0, s, seed) draws exactly the same

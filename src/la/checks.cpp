@@ -13,13 +13,6 @@ double frobenius_norm(ConstMatrixView a) {
   return std::sqrt(s);
 }
 
-double frobenius_norm_z(ZConstMatrixView a) {
-  double s = 0.0;
-  for (index_t j = 0; j < a.cols(); ++j)
-    for (index_t i = 0; i < a.rows(); ++i) s += std::norm(a(i, j));
-  return std::sqrt(s);
-}
-
 double max_abs(ConstMatrixView a) {
   double s = 0.0;
   for (index_t j = 0; j < a.cols(); ++j)

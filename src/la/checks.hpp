@@ -8,7 +8,6 @@
 namespace qr3d::la {
 
 double frobenius_norm(ConstMatrixView a);
-double frobenius_norm_z(ZConstMatrixView a);
 double max_abs(ConstMatrixView a);
 
 /// Relative backward error ||A - Q*[R;0]||_F / ||A||_F for a Householder

@@ -28,9 +28,9 @@ namespace {
 // Blocking parameters, in scalars.  MR x NR is sized so the accumulator tile
 // fits the vector register file for double: 8x8 keeps eight 8-wide (AVX-512)
 // or sixteen 4-wide (AVX2) accumulator vectors live, measured fastest on
-// both ISAs at -O2 (notably, -O3 pessimizes this kernel on GCC 12 — see
-// QR3D_KERNEL_NATIVE in CMakeLists.txt).  MC x KC keeps the packed A block
-// in L2.
+// both ISAs at -O2 (-O3 spills the tile on GCC 12, so CMakeLists.txt pins
+// this file at -O2 in Release builds).  MC x KC keeps the packed A block in
+// L2.
 constexpr index_t MR = 8;
 constexpr index_t NR = 8;
 constexpr index_t MC = 128;

@@ -16,8 +16,6 @@
 //   * CyclicCols    — column-cyclic; represents the "row-cyclic, transposed"
 //                     left factors of Section 7.2's dmm calls.
 //   * BlockRows     — contiguous row blocks [starts[p], starts[p+1]).
-//   * RowList       — arbitrary per-rank row sets (the converted layout of
-//                     3D-CAQR-EG's base case, Section 7.1).
 //   * Dmm{A,B,C}    — the 3D-mm distribution of Lemma 4 / Appendix B.1: the
 //                     (q, s) block of A is partitioned entrywise across the
 //                     R-fiber, etc.
@@ -184,41 +182,6 @@ class BlockRows final : public Layout {
 
  private:
   std::vector<index_t> starts_;
-};
-
-/// Arbitrary per-rank row sets (each rank's list sorted ascending).
-class RowList final : public Layout {
- public:
-  RowList(index_t rows, index_t cols, int P, std::vector<std::vector<index_t>> rank_rows)
-      : Layout(rows, cols, P), rank_rows_(std::move(rank_rows)),
-        row_owner_(static_cast<std::size_t>(rows), -1) {
-    QR3D_CHECK(static_cast<int>(rank_rows_.size()) == P, "RowList: need P row lists");
-    for (int p = 0; p < P; ++p)
-      for (index_t i : rank_rows_[static_cast<std::size_t>(p)]) {
-        QR3D_CHECK(i >= 0 && i < rows && row_owner_[static_cast<std::size_t>(i)] == -1,
-                   "RowList: rows must partition [0, rows)");
-        row_owner_[static_cast<std::size_t>(i)] = p;
-      }
-    for (index_t i = 0; i < rows; ++i)
-      QR3D_CHECK(row_owner_[static_cast<std::size_t>(i)] >= 0, "RowList: unowned row");
-  }
-
-  int owner(index_t i, index_t) const override { return row_owner_[static_cast<std::size_t>(i)]; }
-  void for_each_local(int rank, const Visitor& visit) const override {
-    const auto& rows = rank_rows_[static_cast<std::size_t>(rank)];
-    for (index_t j = 0; j < cols_; ++j)
-      for (index_t i : rows) visit(i, j);
-  }
-  index_t local_count(int rank) const override {
-    return static_cast<index_t>(rank_rows_[static_cast<std::size_t>(rank)].size()) * cols_;
-  }
-  const std::vector<index_t>& rows_of(int rank) const {
-    return rank_rows_[static_cast<std::size_t>(rank)];
-  }
-
- private:
-  std::vector<std::vector<index_t>> rank_rows_;
-  std::vector<int> row_owner_;
 };
 
 /// Entire matrix on a single rank.

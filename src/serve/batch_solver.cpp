@@ -256,6 +256,7 @@ BatchSolver::BatchSolver(ServeOptions opts)
   m_.timeouts = &registry_.counter("health.session_timeouts");
   m_.requeues_timeout = &registry_.counter("health.requeues_timeout");
   m_.requeues_rank_death = &registry_.counter("health.requeues_rank_death");
+  m_.rank_deaths = &registry_.counter("health.rank_deaths");
   m_.quarantined = &registry_.counter("health.ranks_quarantined");
   m_.reinstated = &registry_.counter("health.ranks_reinstated");
   m_.quarantined_now = &registry_.gauge("health.quarantined_now");
@@ -754,8 +755,10 @@ void BatchSolver::settle_round(const SessionOutcome& out, bool for_barriers) {
     verdict = classify(out, attempts, opts_.max_attempts(), aborting_);
     m_.serve_seconds->add(machine_->last_wall_seconds());
     for (int r : out.deaths) {
-      if (std::find(dead_ranks_.begin(), dead_ranks_.end(), r) == dead_ranks_.end())
+      if (std::find(dead_ranks_.begin(), dead_ranks_.end(), r) == dead_ranks_.end()) {
         dead_ranks_.push_back(r);
+        m_.rank_deaths->inc();
+      }
     }
     // Health bookkeeping: a timed-out session quarantines the ranks whose
     // stall implicates them (probation starts, or restarts for a repeat
@@ -1045,6 +1048,7 @@ BatchSolver::Stats BatchSolver::stats() const {
   s.session_timeouts = m_.timeouts->value();
   s.requeues_timeout = m_.requeues_timeout->value();
   s.requeues_rank_death = m_.requeues_rank_death->value();
+  s.rank_deaths = m_.rank_deaths->value();
   s.ranks_quarantined = m_.quarantined->value();
   s.ranks_reinstated = m_.reinstated->value();
   s.quarantined_now = static_cast<std::uint64_t>(m_.quarantined_now->value());

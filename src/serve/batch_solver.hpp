@@ -522,6 +522,9 @@ class BatchSolver {
     std::uint64_t session_timeouts = 0;   ///< sessions ended by the watchdog deadline
     std::uint64_t requeues_timeout = 0;   ///< job requeues caused by a session timeout
     std::uint64_t requeues_rank_death = 0;  ///< job requeues caused by rank deaths
+    /// Ranks lost to deaths, each counted once, also when no job was
+    /// requeued because the death came after the round's jobs resolved.
+    std::uint64_t rank_deaths = 0;
     std::uint64_t ranks_quarantined = 0;  ///< quarantine entries (cumulative)
     std::uint64_t ranks_reinstated = 0;   ///< quarantined ranks reinstated after probation
     std::uint64_t quarantined_now = 0;    ///< ranks currently quarantined
@@ -714,6 +717,7 @@ class BatchSolver {
     obs::Counter* timeouts = nullptr;
     obs::Counter* requeues_timeout = nullptr;
     obs::Counter* requeues_rank_death = nullptr;
+    obs::Counter* rank_deaths = nullptr;
     obs::Counter* quarantined = nullptr;
     obs::Counter* reinstated = nullptr;
     obs::Gauge* quarantined_now = nullptr;

@@ -1,7 +1,5 @@
 #include "serve/plan_cache.hpp"
 
-#include <algorithm>
-
 #include "core/cholesky_qr2.hpp"
 #include "core/solver.hpp"
 #include "cost/model.hpp"
@@ -92,8 +90,6 @@ namespace {
 /// the plan key and the resolver see the same request.
 core::CaqrEg3dOptions requested_params(la::index_t m, la::index_t n, int P, const QrOptions& qr) {
   core::CaqrEg3dOptions params;
-  params.b = qr.block_size();
-  params.b_star = qr.base_block_size();
   params.delta = qr.delta();
   params.epsilon = qr.epsilon();
   return core::resolve_algorithm(m, n, P, qr.algorithm(), params);
@@ -115,13 +111,12 @@ PlanKey make_plan_key(la::index_t m, la::index_t n, int P, const QrOptions& qr,
   key.accuracy = accuracy;
   const core::CaqrEg3dOptions params = requested_params(m, n, P, qr);
   key.b = params.b;
-  key.b_star = params.b_star;
   key.delta = params.delta;
   key.epsilon = params.epsilon;
   key.tune = qr.tune_for_machine();
   // The tuner replaces epsilon (and, for the full recursion, delta), so
   // tuned requests differing only there resolve to one plan.
-  if (key.tune && P > 1 && (params.b == 0 || params.b == n)) {
+  if (key.tune && P > 1) {
     key.epsilon = 0.0;
     if (params.b == 0) key.delta = 0.0;
   }
@@ -138,7 +133,6 @@ Plan resolve_shape_plan(la::index_t m, la::index_t n, int P, const QrOptions& qr
     plan.delta = params.delta;
     plan.epsilon = params.epsilon;
     plan.b = params.b;
-    plan.b_star = params.b_star;
     const double md = static_cast<double>(m), nd = static_cast<double>(n);
     if (P <= 1) {
       // Single-rank group: a local serial QR, no communication to tune.
@@ -154,7 +148,7 @@ Plan resolve_shape_plan(la::index_t m, la::index_t n, int P, const QrOptions& qr
       } else {
         plan.predicted = cost::caqr_eg_3d(md, nd, P, plan.delta, plan.epsilon);
       }
-    } else if (params.b == n) {
+    } else {
       // Tall-skinny dispatch (immediate conversion + 1D-CAQR-EG): delta is
       // moot but Theorem 2's epsilon still trades words against messages.
       if (qr.tune_for_machine()) {
@@ -164,10 +158,6 @@ Plan resolve_shape_plan(la::index_t m, la::index_t n, int P, const QrOptions& qr
       } else {
         plan.predicted = cost::caqr_eg_1d(md, nd, P, plan.epsilon);
       }
-    } else {
-      // Hand-pinned recursion threshold: predict at exactly those blocks.
-      plan.predicted = cost::caqr_eg_3d_b(md, nd, P, static_cast<double>(params.b),
-                                          std::max(1.0, static_cast<double>(params.b_star)));
     }
     // Accuracy-contract dispatch: fast/balanced jobs take the CholeskyQR2
     // fast path when the model says it wins at this shape under the key's

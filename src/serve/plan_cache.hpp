@@ -68,17 +68,16 @@ struct PlanKey {
   double beta = 0.0;   ///< machine seconds per word
   double gamma = 0.0;  ///< machine seconds per flop
   core::Accuracy accuracy = core::Accuracy::Balanced;  ///< accuracy/speed contract
-  la::index_t b = 0;       ///< requested recursion threshold (b = n: base case)
-  la::index_t b_star = 0;  ///< requested base-case threshold
-  double delta = 0.0;      ///< requested delta (0 when the tuner picks it)
-  double epsilon = 0.0;    ///< requested epsilon (0 when the tuner picks it)
-  bool tune = false;       ///< QrOptions::tune_for_machine()
+  la::index_t b = 0;     ///< 0: 3D recursion; n: base case
+  double delta = 0.0;    ///< requested delta (0 when the tuner picks it)
+  double epsilon = 0.0;  ///< requested epsilon (0 when the tuner picks it)
+  bool tune = false;     ///< QrOptions::tune_for_machine()
 
   /// Lexicographic order over every field (std::map key requirement).
   friend bool operator<(const PlanKey& a, const PlanKey& b) {
     auto tie = [](const PlanKey& k) {
       return std::tuple(k.m, k.n, k.P, static_cast<int>(k.backend), k.alpha, k.beta, k.gamma,
-                        static_cast<int>(k.accuracy), k.b, k.b_star, k.delta, k.epsilon,
+                        static_cast<int>(k.accuracy), k.b, k.delta, k.epsilon,
                         k.tune);
     };
     return tie(a) < tie(b);
@@ -99,9 +98,8 @@ enum class PlanAlgorithm {
 struct Plan {
   double delta = 2.0 / 3.0;  ///< Theorem 1 bandwidth/latency tradeoff
   double epsilon = 1.0;      ///< Theorem 2 base-case tradeoff
-  la::index_t b = 0;       ///< recursion threshold (0 = derive from delta)
-  la::index_t b_star = 0;  ///< base-case threshold (0 = derive from epsilon)
-  cost::Costs predicted;   ///< model costs under the key's machine parameters
+  la::index_t b = 0;      ///< 0: 3D recursion (b from delta); n: base case
+  cost::Costs predicted;  ///< model costs under the key's machine parameters
   PlanAlgorithm algorithm = PlanAlgorithm::Householder;  ///< dispatch choice
   bool use_float = false;  ///< CholeskyQR2 only: float first pass (fast mode)
   /// CholeskyQR2 only: the condition guard the session enforces

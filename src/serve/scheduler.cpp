@@ -19,16 +19,6 @@ const char* priority_name(Priority p) {
   return "?";
 }
 
-const char* retry_cause_name(RetryCause c) {
-  switch (c) {
-    case RetryCause::RankDeath:
-      return "rank_death";
-    case RetryCause::Timeout:
-      return "timeout";
-  }
-  return "?";
-}
-
 namespace {
 
 std::string admission_message(std::size_t queue_depth, std::size_t max_queue_depth,

@@ -132,9 +132,6 @@ enum class RetryCause : int {
   Timeout = 1,    ///< its session blew the watchdog deadline (fail-slow)
 };
 
-/// Human-readable cause name ("rank_death" / "timeout").
-const char* retry_cause_name(RetryCause c);
-
 /// One requeue of a job: why it went back, and the deterministic backoff
 /// delay it waited before becoming dispatchable again (0 when backoff is
 /// disabled — ServeOptions::with_retry_backoff).

@@ -278,32 +278,10 @@ TEST(OptionsValidation, EpsilonOutsideTheoremTwoRangeThrows) {
   EXPECT_NO_THROW(qr3d::QrOptions().with_epsilon(0.0).with_epsilon(1.0));
 }
 
-TEST(OptionsValidation, NegativeBlockSizesThrow) {
-  EXPECT_THROW(qr3d::QrOptions().with_block_size(-1), std::invalid_argument);
-  EXPECT_THROW(qr3d::QrOptions().with_base_block_size(-2), std::invalid_argument);
-}
-
 TEST(OptionsValidation, FactorRejectsWideMatrices) {
   sim::Machine machine(2);
   EXPECT_THROW(machine.run([](backend::Comm& c) {
     qr3d::factor(DistMatrix::random(c, 4, 8, 1));
-  }),
-               std::invalid_argument);
-}
-
-TEST(OptionsValidation, FactorRejectsBlockSizeBeyondN) {
-  sim::Machine machine(2);
-  EXPECT_THROW(machine.run([](backend::Comm& c) {
-    qr3d::factor(DistMatrix::random(c, 16, 4, 2), qr3d::QrOptions().with_block_size(5));
-  }),
-               std::invalid_argument);
-}
-
-TEST(OptionsValidation, FactorRejectsBaseBlockLargerThanBlock) {
-  sim::Machine machine(2);
-  EXPECT_THROW(machine.run([](backend::Comm& c) {
-    qr3d::factor(DistMatrix::random(c, 16, 8, 3),
-                 qr3d::QrOptions().with_block_size(4).with_base_block_size(6));
   }),
                std::invalid_argument);
 }

@@ -466,29 +466,37 @@ TEST(BackendConformance, SolverFacadeAndLeastSquares) {
 }
 
 // The 1D apply (Lemma 3's multiplications on T's row-cyclic slices, V and T
-// never move) of a tall-skinny factor round-trips Q (Q^H X) = X, bitwise
-// alike on both backends, for one right-hand side and for k = 2n.
+// never move) round-trips Q (Q^H X) = X, bitwise alike on both backends: on a
+// tall-skinny factor for one right-hand side and for k = 2n, and on a
+// squarish one (m/n < P, the 3D recursion's factor) for k = 1 and k = n.
 TEST(BackendConformance, TallApplyQRoundTrip) {
-  const index_t m = 64, n = 4;
-  const int P = 4;
-  la::Matrix A = la::random_matrix(m, n, 910);
-  expect_conformant(P, [&](backend::Comm& c) {
-    const qr3d::Factorization f =
-        qr3d::Solver().factor(qr3d::DistMatrix::from_global(c, A.view()));
-    std::vector<double> out;
-    for (const index_t k : {index_t{1}, 2 * n}) {
-      la::Matrix X = la::random_matrix(m, k, 911 + static_cast<unsigned>(k));
-      const qr3d::DistMatrix Xd = qr3d::DistMatrix::from_global(c, X.view());
-      const qr3d::DistMatrix Y = f.apply_q(Xd, la::Op::ConjTrans);
-      const qr3d::DistMatrix Z = f.apply_q(Y, la::Op::NoTrans);
-      EXPECT_LT(la::diff_norm(Z.local().view(), Xd.local().view()),
-                1e-12 * (1.0 + la::frobenius_norm(Xd.local().view())))
-          << "k = " << k;
-      put(out, Y.local());
-      put(out, Z.local());
-    }
-    return out;
-  });
+  struct Shape {
+    index_t m, n;
+    int P;
+    index_t wide_k;
+  };
+  for (const Shape sh : {Shape{64, 4, 4, 8}, Shape{40, 10, 5, 10}}) {
+    SCOPED_TRACE(std::to_string(sh.m) + "x" + std::to_string(sh.n) + " P=" +
+                 std::to_string(sh.P));
+    la::Matrix A = la::random_matrix(sh.m, sh.n, 910);
+    expect_conformant(sh.P, [&](backend::Comm& c) {
+      const qr3d::Factorization f =
+          qr3d::Solver().factor(qr3d::DistMatrix::from_global(c, A.view()));
+      std::vector<double> out;
+      for (const index_t k : {index_t{1}, sh.wide_k}) {
+        la::Matrix X = la::random_matrix(sh.m, k, 911 + static_cast<unsigned>(k));
+        const qr3d::DistMatrix Xd = qr3d::DistMatrix::from_global(c, X.view());
+        const qr3d::DistMatrix Y = f.apply_q(Xd, la::Op::ConjTrans);
+        const qr3d::DistMatrix Z = f.apply_q(Y, la::Op::NoTrans);
+        EXPECT_LT(la::diff_norm(Z.local().view(), Xd.local().view()),
+                  1e-12 * (1.0 + la::frobenius_norm(Xd.local().view())))
+            << "k = " << k;
+        put(out, Y.local());
+        put(out, Z.local());
+      }
+      return out;
+    });
+  }
 }
 
 // --- Wall-clock reporting sanity on the thread backend. ----------------------

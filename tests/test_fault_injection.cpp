@@ -350,6 +350,9 @@ TEST(SelfHealingServe, DeterministicFaultSweepCompletesEveryJob) {
       const auto st = srv.stats();
       EXPECT_EQ(st.jobs_completed, 4u) << "victim " << victim << " step " << step;
       EXPECT_EQ(st.jobs_failed, 0u) << "victim " << victim << " step " << step;
+      // Every scripted kill fires, also where it lands after the round's
+      // jobs resolved and nothing is requeued.
+      EXPECT_GE(st.rank_deaths, 1u) << "victim " << victim << " step " << step;
     }
   }
 }

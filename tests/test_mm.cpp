@@ -145,11 +145,6 @@ TEST_F(LayoutInvariants, BlockRows) {
   check(mm::BlockRows(3, {0, 2, 2, 9}));  // empty middle rank
 }
 
-TEST_F(LayoutInvariants, RowList) {
-  check(mm::RowList(6, 3, 3, {{0, 3}, {1, 4, 5}, {2}}));
-  check(mm::RowList(4, 2, 2, {{0, 1, 2, 3}, {}}));
-}
-
 TEST_F(LayoutInvariants, Replicated0) {
   check(mm::Replicated0(5, 4, 6, 2));
 }
@@ -162,11 +157,6 @@ TEST_F(LayoutInvariants, DmmLayoutsAllOperands) {
     check(mm::DmmLayout(mm::DmmOperand::B, I, J, K, g, P));
     check(mm::DmmLayout(mm::DmmOperand::C, I, J, K, g, P));
   }
-}
-
-TEST(RowListLayout, RejectsNonPartition) {
-  EXPECT_THROW(mm::RowList(4, 2, 2, {{0, 1}, {1, 3}}), std::invalid_argument);  // duplicate
-  EXPECT_THROW(mm::RowList(4, 2, 2, {{0, 1}, {3}}), std::invalid_argument);     // missing row 2
 }
 
 class RedistributeP : public ::testing::TestWithParam<int> {};

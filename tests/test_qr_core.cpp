@@ -375,25 +375,6 @@ TEST(Params, BlockSizeSelectionRanges) {
   EXPECT_LE(core::base_block_size_3d(16, 16, 1.0), 16);
 }
 
-TEST(Tsqr, UBroadcastAlgorithmDoesNotChangeResults) {
-  // The final U broadcast may use either tree; values must match exactly and
-  // only the cost profile may differ.
-  const la::index_t m = 96, n = 12;
-  const int P = 8;
-  la::Matrix A = la::random_matrix(m, n, 99);
-  core::TsqrOptions binom;
-  core::TsqrOptions bidir;
-  bidir.u_bcast_alg = qr3d::coll::Alg::BidirExchange;
-  Assembled f1 = run_1d(A, P, [&](backend::Comm& c, la::ConstMatrixView Al) {
-    return core::tsqr(c, Al, binom);
-  });
-  Assembled f2 = run_1d(A, P, [&](backend::Comm& c, la::ConstMatrixView Al) {
-    return core::tsqr(c, Al, bidir);
-  });
-  EXPECT_EQ(f1.V, f2.V);
-  EXPECT_EQ(f1.R, f2.R);
-}
-
 TEST(CaqrEg1d, ThresholdLargerThanNClampsToTsqr) {
   la::Matrix A = la::random_matrix(40, 8, 101);
   core::CaqrEg1dOptions opts;
@@ -402,23 +383,4 @@ TEST(CaqrEg1d, ThresholdLargerThanNClampsToTsqr) {
     return core::caqr_eg_1d(c, Al, opts);
   });
   expect_valid_qr(A, f);
-}
-
-TEST(Tsqr, RecursiveLocalKernelMatchesUnblocked) {
-  // Section 2.4: the serial recursive Elmroth-Gustavson factorization is a
-  // drop-in local kernel for TSQR.
-  const la::index_t m = 80, n = 10;
-  const int P = 4;
-  la::Matrix A = la::random_matrix(m, n, 202);
-  core::TsqrOptions rec_opts;
-  rec_opts.local_recursive_threshold = 3;
-  Assembled f1 = run_1d(A, P, [&](backend::Comm& c, la::ConstMatrixView Al) {
-    return core::tsqr(c, Al, rec_opts);
-  });
-  Assembled f2 = run_1d(A, P, [](backend::Comm& c, la::ConstMatrixView Al) {
-    return core::tsqr(c, Al);
-  });
-  expect_valid_qr(A, f1);
-  EXPECT_LT(la::diff_norm(f1.R.view(), f2.R.view()), 1e-11 * (1.0 + la::frobenius_norm(f2.R.view())));
-  EXPECT_LT(la::diff_norm(f1.V.view(), f2.V.view()), 1e-10 * (1.0 + la::frobenius_norm(f2.V.view())));
 }
