@@ -35,11 +35,13 @@ DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local) {
   QR3D_CHECK(mp >= n, "tsqr: every rank needs at least n rows (m/n >= P)");
 
   // --- Upsweep: local QR, then binomial reduction of R-factors. ------------
-  la::Matrix F = la::copy<double>(A_local);
-  la::Matrix T0(n, n);
-  la::geqrt(F.view(), T0.view());
-  const la::Matrix V0 = la::extract_v<double>(F.view());
-  la::Matrix R = la::extract_r<double>(F.view());
+  la::Matrix V0, T0(n, n), R;
+  {
+    la::Matrix F = la::copy<double>(A_local);  // freed before the tree allocates
+    la::geqrt(F.view(), T0.view());
+    V0 = la::extract_v<double>(F.view());
+    R = la::extract_r<double>(F.view());
+  }
   comm.charge_flops(la::flops::geqrt(mp, n));
 
   std::vector<TreeNode> nodes;  // combines at this rank, in upsweep order
