@@ -35,9 +35,13 @@ DistributedQr tsqr(backend::Comm& comm, la::ConstMatrixView A_local) {
   QR3D_CHECK(mp >= n, "tsqr: every rank needs at least n rows (m/n >= P)");
 
   // --- Upsweep: local QR, then binomial reduction of R-factors. ------------
-  la::Matrix V0, T0(n, n), R;
+  // F is freed before the tree allocates, and T0 is allocated after F: heap
+  // placement moves the leaf's apply_q (forming W below) by up to 1.8x at
+  // 16384 x 64, and this order measured fast.
+  la::Matrix V0, T0, R;
   {
-    la::Matrix F = la::copy<double>(A_local);  // freed before the tree allocates
+    la::Matrix F = la::copy<double>(A_local);
+    T0 = la::Matrix(n, n);
     la::geqrt(F.view(), T0.view());
     V0 = la::extract_v<double>(F.view());
     R = la::extract_r<double>(F.view());
